@@ -62,7 +62,7 @@ func (s *System) Query(requester packet.NodeID, d packet.DataID) error {
 	if !s.nw.Alive(requester) {
 		return fmt.Errorf("core: query node %d is down", requester)
 	}
-	it := s.ledger.Index(d)
+	it := s.item(d)
 	if n.hasItem(it) {
 		return nil // already holds it
 	}
@@ -75,15 +75,15 @@ func (s *System) Query(requester packet.NodeID, d packet.DataID) error {
 	// routing state and must go through the bordercast extension.
 	if s.nw.Field().InZone(requester, d.Origin) {
 		if hops, ok := s.tables.Hops(requester, d.Origin); ok {
-			acq := n.wantFor(d, it)
-			if acq == nil {
-				acq = &acquisition{prone: d.Origin, scone: d.Origin}
-				n.setWant(d, it, acq)
+			a := n.wantFor(d, it)
+			if a < 0 {
+				a = s.newAcq(requester, d, it, d.Origin)
+				n.setWant(d, it, a)
 			}
-			if acq.tauDAT.Active() {
+			if s.acqs[a].armed[datTimer] {
 				return nil // a request is already in flight
 			}
-			n.sendREQ(d, it, acq, d.Origin, hops == 1)
+			n.sendREQ(d, it, a, d.Origin, hops == 1)
 			return nil
 		}
 	}
@@ -133,7 +133,7 @@ func (n *node) startQuery(d packet.DataID, it int) {
 
 // onQRY runs at a node receiving an inter-zone query: answer from the local
 // cache, or bordercast onward.
-func (n *node) onQRY(p packet.Packet, it int) {
+func (n *node) onQRY(p *packet.Packet, it int) {
 	key := queryKey{meta: p.Meta, requester: p.Requester, seq: p.QuerySeq}
 	if n.seenQueries == nil {
 		n.seenQueries = make(map[queryKey]bool)
@@ -151,7 +151,7 @@ func (n *node) onQRY(p packet.Packet, it int) {
 		n.sys.nw.Counters().Drops++
 		return
 	}
-	fwd := p
+	fwd := *p
 	fwd.Trail = appendTrail(p.Trail, n.id)
 	n.forwardQuery(fwd)
 }
@@ -269,7 +269,7 @@ func contains(ids []packet.NodeID, id packet.NodeID) bool {
 // replyToQuery serves a QRY from the local cache: the DATA retraces the
 // query's trail in reverse (source routing), so no routing state beyond the
 // trail is needed.
-func (n *node) replyToQuery(q packet.Packet) {
+func (n *node) replyToQuery(q *packet.Packet) {
 	if len(q.Trail) == 0 {
 		n.sys.nw.Counters().Drops++
 		return
@@ -300,7 +300,7 @@ func (n *node) replyToQuery(q packet.Packet) {
 // forwardSourceRouted advances a trail-carrying DATA reply one hop. It
 // reports whether it consumed the packet (false means the caller should
 // fall back to table routing).
-func (n *node) forwardSourceRouted(p packet.Packet) bool {
+func (n *node) forwardSourceRouted(p *packet.Packet) bool {
 	if len(p.Trail) == 0 {
 		return false
 	}
@@ -310,7 +310,7 @@ func (n *node) forwardSourceRouted(p packet.Packet) bool {
 		n.sys.nw.Counters().Drops++
 		return true // consumed (and lost); the requester's retry recovers
 	}
-	fwd := p
+	fwd := *p
 	fwd.Src = n.id
 	fwd.Dst = next
 	fwd.Level = level

@@ -131,9 +131,42 @@ type System struct {
 	tables   *routing.Tables
 	nodes    []node
 
+	// rows holds the per-(item, node) protocol state item-major: rows[it]
+	// is item it's row, one cell per node, allocated when the item first
+	// resolves. An ADV's ~40 receivers are zone neighbors with nearby ids,
+	// so their cells share cache lines.
+	rows [][]cell
+	// memoKey/memoIt cache the last registered DataID's index: a delivery
+	// batch hands the same packet to every receiver in turn.
+	memoKey uint64
+	memoIt  int
+
+	// acqs pools the acquisitions the cells index, recycled through
+	// acqFree. τADV and τDAT are armed with AtArg through the two handlers
+	// bound once here, the acquisition index as the argument, so arming
+	// allocates nothing.
+	acqs     []acquisition
+	acqFree  []int32
+	tauADVFn sim.ArgHandler
+	tauDATFn sim.ArgHandler
+
 	// Derived expected per-hop REQ+DATA round trip for AutoTimeouts.
 	hopRTT time.Duration
 }
+
+// cell is one node's state for one item: whether it holds and has
+// advertised the item, and its acquisition (index+1 into System.acqs, 0
+// for none).
+type cell struct {
+	acq   int32
+	flags uint8
+}
+
+// cell flags.
+const (
+	held uint8 = 1 << iota
+	advertised
+)
 
 var _ dissem.Protocol = (*System)(nil)
 
@@ -157,7 +190,9 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 	if cfg.BorderFanout == 0 {
 		cfg.BorderFanout = DefaultBorderFanout
 	}
-	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg, tables: tables}
+	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg, tables: tables, memoIt: -1}
+	s.tauADVFn = s.onTauADV
+	s.tauDATFn = s.onTauDAT
 	s.deriveTimeouts()
 	nw.DeferProcessing(cfg.Proc)
 	// Nodes live in one contiguous slice (allocated once, never grown), so
@@ -243,10 +278,29 @@ func (s *System) Originate(src packet.NodeID, d packet.DataID) error {
 		return err
 	}
 	n := &s.nodes[src]
-	it := s.ledger.Index(d)
+	it := s.item(d)
 	n.setHas(it)
 	n.advertise(d, it)
 	return nil
+}
+
+// item resolves d to its dense ledger index, -1 when never originated. An
+// item's row of cells is allocated the first time it resolves, which is at
+// its origination.
+func (s *System) item(d packet.DataID) int {
+	k := d.Key()
+	if k == s.memoKey && s.memoIt >= 0 {
+		return s.memoIt
+	}
+	it := s.ledger.Index(d)
+	if it < 0 {
+		return -1
+	}
+	for len(s.rows) <= it {
+		s.rows = append(s.rows, make([]cell, len(s.nodes)))
+	}
+	s.memoKey, s.memoIt = k, it
+	return it
 }
 
 // Has reports whether node id holds d (test hook).
@@ -254,7 +308,7 @@ func (s *System) Has(id packet.NodeID, d packet.DataID) bool {
 	if id < 0 || int(id) >= len(s.nodes) {
 		panic(fmt.Sprintf("core: node id %d out of range", id))
 	}
-	return s.nodes[id].hasItem(s.ledger.Index(d))
+	return s.nodes[id].hasItem(s.item(d))
 }
 
 // Prone returns node id's current PRONE/SCONE for d (test hook). ok is
@@ -263,45 +317,110 @@ func (s *System) Prone(id packet.NodeID, d packet.DataID) (prone, scone packet.N
 	if id < 0 || int(id) >= len(s.nodes) {
 		panic(fmt.Sprintf("core: node id %d out of range", id))
 	}
-	acq := s.nodes[id].wantFor(d, s.ledger.Index(d))
-	if acq == nil {
+	a := s.nodes[id].wantFor(d, s.item(d))
+	if a < 0 {
 		return packet.None, packet.None, false
 	}
-	return acq.prone, acq.scone, true
+	return s.acqs[a].prone, s.acqs[a].scone, true
 }
 
-// acquisition is a destination's per-data-item negotiation state (§3.4).
+// acquisition is a destination's per-data-item negotiation state (§3.4),
+// plus the node and item it belongs to, which its timer handlers need.
+// Everything an ADV reads fits the first 64 bytes; the timer handles
+// follow.
 type acquisition struct {
-	prone packet.NodeID // primary originator node
-	scone packet.NodeID // secondary originator node
-
-	tauADV sim.Timer
-	tauDAT sim.Timer
-
-	attempts   int  // REQ transmissions so far
-	lastDirect bool // last REQ was a direct (single-hop) transmission
+	prone      packet.NodeID // primary originator node
+	scone      packet.NodeID // secondary originator node
 	lastTarget packet.NodeID
-	abandoned  bool // attempt budget exhausted; a fresh ADV restarts
+	attempts   int32 // REQ transmissions so far
+	lastDirect bool  // last REQ was a direct (single-hop) transmission
+	abandoned  bool  // attempt budget exhausted; a fresh ADV restarts
+	// armed[k] mirrors timers[k].Active() — set on arm, cleared on cancel
+	// and as the handler starts — so the ADV path tests it without a read
+	// of the scheduler's event arena.
+	armed [2]bool
+
+	node packet.NodeID
+	it   int
+	d    packet.DataID
+
+	timers [2]sim.Timer
 }
 
-// node is one SPMS protocol instance. Per-item state (has/advertised/want)
-// lives in flat slices indexed by the ledger's dense item index
-// (dissem.Ledger.Index): one shared map lookup resolves a packet's DataID
-// to its index, after which every state access is an indexed load — the
-// per-item maps these replace dominated the delivery-path profile at
-// campaign scale.
+// An acquisition's two timers, indexing acquisition.timers.
+const (
+	advTimer = iota // τADV
+	datTimer        // τDAT
+)
+
+// arm replaces timer k's pending event, if any, with ev.
+func (a *acquisition) arm(k int, ev sim.Timer) {
+	a.stop(k)
+	a.timers[k] = ev
+	a.armed[k] = true
+}
+
+// stop cancels timer k's pending event, if any.
+func (a *acquisition) stop(k int) {
+	if a.armed[k] {
+		a.timers[k].Cancel()
+		a.armed[k] = false
+	}
+}
+
+// newAcq takes a pooled acquisition for node id's pull of d, with PRONE and
+// SCONE both starting as provider.
+func (s *System) newAcq(id packet.NodeID, d packet.DataID, it int, provider packet.NodeID) int32 {
+	var a int32
+	if n := len(s.acqFree); n > 0 {
+		a = s.acqFree[n-1]
+		s.acqFree = s.acqFree[:n-1]
+	} else {
+		s.acqs = append(s.acqs, acquisition{})
+		a = int32(len(s.acqs) - 1)
+	}
+	s.acqs[a] = acquisition{node: id, d: d, it: it, prone: provider, scone: provider}
+	return a
+}
+
+// onTauADV fires when acquisition a's τADV expires: no closer relay
+// advertised in time, so request from the PRONE through the shortest path.
+func (s *System) onTauADV(arg uint64) {
+	acq := &s.acqs[arg]
+	acq.armed[advTimer] = false
+	n := &s.nodes[acq.node]
+	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
+		return
+	}
+	s.nw.Counters().Timeouts++
+	n.sendREQ(acq.d, acq.it, int32(arg), acq.prone, false)
+}
+
+// onTauDAT fires when acquisition a's τDAT expires: the requested data did
+// not arrive, so the request fails over.
+func (s *System) onTauDAT(arg uint64) {
+	acq := &s.acqs[arg]
+	acq.armed[datTimer] = false
+	n := &s.nodes[acq.node]
+	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
+		return
+	}
+	s.nw.Counters().Timeouts++
+	n.failover(acq.d, acq.it, int32(arg))
+}
+
+// node is one SPMS protocol instance. Its per-item state lives in the
+// System's item-major cells, indexed by the ledger's dense item index
+// (dissem.Ledger.Index).
 type node struct {
-	sys        *System
-	id         packet.NodeID
-	has        []bool
-	advertised []bool
-	want       []*acquisition
+	sys *System
+	id  packet.NodeID
 
 	// wantOverflow holds acquisition state for items with no ledger index
 	// (never originated — reachable only via System.Query), preserving
 	// Query's in-flight dedup for them. Allocated lazily; empty in every
 	// normal workload.
-	wantOverflow map[uint64]*acquisition
+	wantOverflow map[uint64]int32
 
 	// Inter-zone query state (§6 extension), allocated lazily. queries is
 	// keyed on DataID.Key directly: query traffic is rare and may reference
@@ -313,68 +432,62 @@ type node struct {
 var _ network.Receiver = (*node)(nil)
 
 // item resolves d to its dense ledger index, -1 when never originated.
-func (n *node) item(d packet.DataID) int { return n.sys.ledger.Index(d) }
+func (n *node) item(d packet.DataID) int { return n.sys.item(d) }
+
+// cell returns this node's state for registered item it.
+func (n *node) cell(it int) *cell { return &n.sys.rows[it][n.id] }
 
 // hasItem reports whether this node holds item it.
-func (n *node) hasItem(it int) bool { return it >= 0 && it < len(n.has) && n.has[it] }
+func (n *node) hasItem(it int) bool { return it >= 0 && n.cell(it).flags&held != 0 }
 
-// wantFor returns the acquisition state for d (dense index it), nil when
-// none. Unregistered items (it < 0, possible only via System.Query) live
-// in the overflow map so Query keeps its in-flight dedup for them.
-func (n *node) wantFor(d packet.DataID, it int) *acquisition {
+// wantFor returns the index of the acquisition for d (dense index it), -1
+// when none. Unregistered items (it < 0, possible only via System.Query)
+// live in the overflow map so Query keeps its in-flight dedup for them.
+func (n *node) wantFor(d packet.DataID, it int) int32 {
 	if it >= 0 {
-		if it < len(n.want) {
-			return n.want[it]
-		}
-		return nil
+		return n.cell(it).acq - 1
 	}
-	return n.wantOverflow[d.Key()]
+	if a, ok := n.wantOverflow[d.Key()]; ok {
+		return a
+	}
+	return -1
 }
 
-// grow extends the per-item slices to cover item it.
-func (n *node) grow(it int) {
-	if it < len(n.has) {
-		return
-	}
-	c := n.sys.ledger.Originated()
-	n.has = dissem.GrowItems(n.has, it, c)
-	n.advertised = dissem.GrowItems(n.advertised, it, c)
-	n.want = dissem.GrowItems(n.want, it, c)
-}
-
-// setHas marks item it as held. Unregistered items (it < 0) have no slot
+// setHas marks item it as held. Unregistered items (it < 0) have no cell
 // and nothing to record — they can never be advertised or delivered.
 func (n *node) setHas(it int) {
-	if it < 0 {
-		return
+	if it >= 0 {
+		n.cell(it).flags |= held
 	}
-	n.grow(it)
-	n.has[it] = true
 }
 
-// setWant stores acquisition state for d (dense index it); unregistered
-// items go to the overflow map.
-func (n *node) setWant(d packet.DataID, it int, acq *acquisition) {
+// setWant records acquisition a for d (dense index it); unregistered items
+// go to the overflow map.
+func (n *node) setWant(d packet.DataID, it int, a int32) {
 	if it >= 0 {
-		n.grow(it)
-		n.want[it] = acq
+		n.cell(it).acq = a + 1
 		return
 	}
 	if n.wantOverflow == nil {
-		n.wantOverflow = make(map[uint64]*acquisition)
+		n.wantOverflow = make(map[uint64]int32)
 	}
-	n.wantOverflow[d.Key()] = acq
+	n.wantOverflow[d.Key()] = a
 }
 
-// clearWant drops the acquisition state for d (dense index it).
+// clearWant drops the acquisition for d (dense index it), whose timers are
+// already canceled, and returns it to the pool.
 func (n *node) clearWant(d packet.DataID, it int) {
-	if it >= 0 {
-		if it < len(n.want) {
-			n.want[it] = nil
-		}
+	a := n.wantFor(d, it)
+	if a < 0 {
 		return
 	}
-	delete(n.wantOverflow, d.Key())
+	if it >= 0 {
+		n.cell(it).acq = 0
+	} else {
+		delete(n.wantOverflow, d.Key())
+	}
+	n.sys.acqs[a] = acquisition{}
+	n.sys.acqFree = append(n.sys.acqFree, a)
 }
 
 // HandlePacket runs the protocol reaction to p. The Tproc processing delay
@@ -382,7 +495,7 @@ func (n *node) clearWant(d packet.DataID, it int) {
 // (DeferProcessing in NewSystem), which also re-checks liveness — so by the
 // time this runs, the node is alive and the clock is already at
 // delivery+Tproc.
-func (n *node) HandlePacket(p packet.Packet) {
+func (n *node) HandlePacket(p *packet.Packet) {
 	it := n.item(p.Meta)
 	switch p.Kind {
 	case packet.ADV:
@@ -422,20 +535,22 @@ func (n *node) closer(candidate, current packet.NodeID) bool {
 //     relay to acquire and re-advertise the data.
 //   - Advertisements from closer nodes promote the PRONE and demote the old
 //     PRONE to SCONE.
-func (n *node) onADV(p packet.Packet, it int) {
+func (n *node) onADV(p *packet.Packet, it int) {
 	d := p.Meta
 	if n.hasItem(it) || !n.sys.interest(n.id, d) {
 		return
 	}
-	acq := n.wantFor(d, it)
+	a := n.wantFor(d, it)
 	promoted := false
-	if acq == nil {
+	if a < 0 {
 		// First ADV for this item: PRONE and SCONE both start as the
 		// advertiser (the data source, at protocol start).
-		acq = &acquisition{prone: p.Src, scone: p.Src}
-		n.setWant(d, it, acq)
+		a = n.sys.newAcq(n.id, d, it, p.Src)
+		n.setWant(d, it, a)
 		promoted = true
-	} else {
+	}
+	acq := &n.sys.acqs[a]
+	if !promoted {
 		if acq.abandoned {
 			// A fresh advertisement revives an abandoned acquisition.
 			acq.abandoned = false
@@ -449,7 +564,7 @@ func (n *node) onADV(p packet.Packet, it int) {
 			promoted = true
 		}
 	}
-	if acq.tauDAT.Active() {
+	if acq.armed[datTimer] {
 		// A request is already outstanding; the PRONE/SCONE update above is
 		// all this ADV changes.
 		return
@@ -458,48 +573,41 @@ func (n *node) onADV(p packet.Packet, it int) {
 	if !ok {
 		// PRONE unreachable by routing (e.g. source in another zone whose
 		// ADV still arrived radio-wise). Wait for a closer advertiser.
-		if promoted || !acq.tauADV.Active() {
-			n.armTauADV(d, it, acq)
+		if promoted || !acq.armed[advTimer] {
+			n.armTauADV(a)
 		}
 		return
 	}
 	if hops == 1 {
 		// Next-hop neighbor: request immediately, directly.
-		acq.tauADV.Cancel()
-		n.sendREQ(d, it, acq, acq.prone, true)
+		acq.stop(advTimer)
+		n.sendREQ(d, it, a, acq.prone, true)
 		return
 	}
 	// Multi-hop would be needed: wait τADV for a relay's advertisement.
 	// Re-arming on a PRONE promotion matches §3.5 ("C ... resets its timer
 	// τADV"); unrelated repeat ADVs must not postpone the timer forever.
-	if promoted || !acq.tauADV.Active() {
-		n.armTauADV(d, it, acq)
+	if promoted || !acq.armed[advTimer] {
+		n.armTauADV(a)
 	}
 }
 
-// armTauADV (re)starts the advertisement-wait timer. Re-arming on each ADV
-// matches §3.5: "C on receiving the ADV packet from r1 resets its timer
-// τADV".
-func (n *node) armTauADV(d packet.DataID, it int, acq *acquisition) {
-	acq.tauADV.Cancel()
-	acq.tauADV = n.sys.nw.Scheduler().After(n.sys.tauADV(), func() {
-		if !n.sys.nw.Alive(n.id) || n.hasItem(it) {
-			return
-		}
-		n.sys.nw.Counters().Timeouts++
-		// τADV expired: request from the PRONE through the shortest path.
-		n.sendREQ(d, it, acq, acq.prone, false)
-	})
+// armTauADV (re)starts acquisition a's advertisement-wait timer. Re-arming
+// on each ADV matches §3.5: "C on receiving the ADV packet from r1 resets
+// its timer τADV".
+func (n *node) armTauADV(a int32) {
+	n.sys.acqs[a].arm(advTimer, n.sys.nw.Scheduler().AfterArg(n.sys.tauADV(), n.sys.tauADVFn, uint64(a)))
 }
 
 // sendREQ transmits a request to target, directly (single transmission at
 // the level that spans the distance) or along the multi-hop shortest path,
 // and arms τDAT.
-func (n *node) sendREQ(d packet.DataID, it int, acq *acquisition, target packet.NodeID, direct bool) {
-	if acq.attempts >= n.sys.cfg.MaxAttempts {
+func (n *node) sendREQ(d packet.DataID, it int, a int32, target packet.NodeID, direct bool) {
+	acq := &n.sys.acqs[a]
+	if int(acq.attempts) >= n.sys.cfg.MaxAttempts {
 		acq.abandoned = true
-		acq.tauADV.Cancel()
-		acq.tauDAT.Cancel()
+		acq.stop(advTimer)
+		acq.stop(datTimer)
 		return
 	}
 	acq.attempts++
@@ -513,7 +621,7 @@ func (n *node) sendREQ(d packet.DataID, it int, acq *acquisition, target packet.
 		if !ok {
 			// Not actually reachable in one transmission (mobility can do
 			// this); fall back to multi-hop.
-			n.sendREQViaRoute(d, it, acq, target)
+			n.sendREQViaRoute(d, a, target)
 			return
 		}
 		n.sys.nw.Send(packet.Packet{
@@ -551,19 +659,20 @@ func (n *node) sendREQ(d packet.DataID, it int, acq *acquisition, target packet.
 			hops = h
 		}
 	}
-	n.armTauDAT(d, it, acq, hops)
+	n.armTauDAT(a, hops)
 }
 
 // sendREQViaRoute is sendREQ's multi-hop fallback used when a "direct"
 // attempt turns out to be unreachable.
-func (n *node) sendREQViaRoute(d packet.DataID, it int, acq *acquisition, target packet.NodeID) {
+func (n *node) sendREQViaRoute(d packet.DataID, a int32, target packet.NodeID) {
+	acq := &n.sys.acqs[a]
 	acq.lastDirect = false
 	if !n.sendREQViaRouteOnce(d, target) {
 		acq.abandoned = true
 		return
 	}
 	hops, _ := n.sys.tables.Hops(n.id, target)
-	n.armTauDAT(d, it, acq, hops)
+	n.armTauDAT(a, hops)
 }
 
 // sendREQViaRouteOnce emits one REQ toward target via the primary next hop.
@@ -590,17 +699,10 @@ func (n *node) sendREQViaRouteOnce(d packet.DataID, target packet.NodeID) bool {
 	return true
 }
 
-// armTauDAT starts the data-wait timer for a request that travels the given
-// number of hops.
-func (n *node) armTauDAT(d packet.DataID, it int, acq *acquisition, hops int) {
-	acq.tauDAT.Cancel()
-	acq.tauDAT = n.sys.nw.Scheduler().After(n.sys.tauDAT(hops), func() {
-		if !n.sys.nw.Alive(n.id) || n.hasItem(it) {
-			return
-		}
-		n.sys.nw.Counters().Timeouts++
-		n.failover(d, it, acq)
-	})
+// armTauDAT starts acquisition a's data-wait timer for a request that
+// travels the given number of hops.
+func (n *node) armTauDAT(a int32, hops int) {
+	n.sys.acqs[a].arm(datTimer, n.sys.nw.Scheduler().AfterArg(n.sys.tauDAT(hops), n.sys.tauDATFn, uint64(a)))
 }
 
 // failover implements §3.4's recovery ladder after a τDAT expiry:
@@ -617,16 +719,17 @@ func (n *node) armTauDAT(d packet.DataID, it int, acq *acquisition, hops int) {
 //  3. If the direct SCONE request was lost too, the node is out of known
 //     providers; the acquisition is abandoned until a fresh advertisement
 //     revives it.
-func (n *node) failover(d packet.DataID, it int, acq *acquisition) {
+func (n *node) failover(d packet.DataID, it int, a int32) {
+	acq := &n.sys.acqs[a]
 	n.sys.nw.Counters().Failovers++
 	switch {
 	case !acq.lastDirect:
 		// Multi-hop attempt failed: go direct to the current PRONE at
 		// whatever power reaches it.
-		n.sendREQ(d, it, acq, acq.prone, true)
+		n.sendREQ(d, it, a, acq.prone, true)
 	case acq.lastTarget != acq.scone:
 		// Direct attempt on the PRONE failed: the PRONE is down.
-		n.sendREQ(d, it, acq, acq.scone, true)
+		n.sendREQ(d, it, a, acq.scone, true)
 	default:
 		acq.abandoned = true
 	}
@@ -635,7 +738,7 @@ func (n *node) failover(d packet.DataID, it int, acq *acquisition) {
 // onREQ handles a request arriving at this node: serve it if addressed
 // here, otherwise forward it along this node's own shortest path to the
 // addressee (hop-by-hop forwarding, §3.2).
-func (n *node) onREQ(p packet.Packet, it int) {
+func (n *node) onREQ(p *packet.Packet, it int) {
 	if p.Provider == n.id || (n.sys.cfg.ServeFromCache && n.hasItem(it)) {
 		if !n.hasItem(it) {
 			// Addressed to us but we never got the data (e.g. we are a
@@ -657,7 +760,7 @@ func (n *node) onREQ(p packet.Packet, it int) {
 		n.sys.nw.Counters().Drops++
 		return
 	}
-	fwd := p
+	fwd := *p
 	fwd.Src = n.id
 	fwd.Dst = next
 	fwd.Level = level
@@ -667,7 +770,7 @@ func (n *node) onREQ(p packet.Packet, it int) {
 // serveDATA answers a REQ: "the data is sent in exactly the same manner as
 // the received request" — directly when the REQ arrived directly from the
 // requester, otherwise along the shortest path.
-func (n *node) serveDATA(req packet.Packet) {
+func (n *node) serveDATA(req *packet.Packet) {
 	d := req.Meta
 	sz := n.sys.nw.Sizes()
 	if req.Src == req.Requester {
@@ -717,7 +820,7 @@ func (n *node) serveDATA(req packet.Packet) {
 // once in its zone ("a node advertises its own data as well as all received
 // data once amongst its neighbors", §3.2) — unless the relay-ADV ablation
 // is active.
-func (n *node) onDATA(p packet.Packet, it int) {
+func (n *node) onDATA(p *packet.Packet, it int) {
 	d := p.Meta
 	isNew := !n.hasItem(it)
 	n.setHas(it)
@@ -731,9 +834,9 @@ func (n *node) onDATA(p packet.Packet, it int) {
 		n.sys.nw.Counters().Delivered++
 	}
 	// Whatever role this node played, its own acquisition is now satisfied.
-	if acq := n.wantFor(d, it); acq != nil {
-		acq.tauADV.Cancel()
-		acq.tauDAT.Cancel()
+	if a := n.wantFor(d, it); a >= 0 {
+		n.sys.acqs[a].stop(advTimer)
+		n.sys.acqs[a].stop(datTimer)
 		n.clearWant(d, it)
 	}
 	if q := n.queries[d.Key()]; q != nil {
@@ -765,7 +868,7 @@ func (n *node) onDATA(p packet.Packet, it int) {
 		n.sys.nw.Counters().Drops++
 		return
 	}
-	fwd := p
+	fwd := *p
 	fwd.Src = n.id
 	fwd.Dst = next
 	fwd.Level = level
@@ -775,11 +878,10 @@ func (n *node) onDATA(p packet.Packet, it int) {
 // advertise broadcasts an ADV for d once per node, at maximum power — the
 // zone-wide announcement that drives both discovery and PRONE promotion.
 func (n *node) advertise(d packet.DataID, it int) {
-	if it < 0 || (it < len(n.advertised) && n.advertised[it]) {
+	if it < 0 || n.cell(it).flags&advertised != 0 {
 		return
 	}
-	n.grow(it)
-	n.advertised[it] = true
+	n.cell(it).flags |= advertised
 	n.sys.nw.Send(packet.Packet{
 		Kind:  packet.ADV,
 		Meta:  d,

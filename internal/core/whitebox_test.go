@@ -28,16 +28,21 @@ func TestSendREQDirectFallsBackToRoute(t *testing.T) {
 	run(t, fx, 100*time.Millisecond)
 
 	n := &fx.sys.nodes[11]
-	acq := &acquisition{prone: 0, scone: 0}
-	n.setWant(d, n.item(d), acq)
-	n.sendREQ(d, n.item(d), acq, 0, true) // direct to an unreachable target
+	it := n.item(d)
+	a := fx.sys.newAcq(11, d, it, 0)
+	n.setWant(d, it, a)
+	n.sendREQ(d, it, a, 0, true) // direct to an unreachable target
+	if fx.sys.acqs[a].lastDirect {
+		t.Fatal("unreachable direct request not rerouted")
+	}
 	run(t, fx, 5*time.Second)
 
 	if !fx.sys.Has(11, d) {
 		t.Fatal("fallback route never delivered")
 	}
-	if acq.abandoned {
-		t.Fatal("successful fallback marked abandoned")
+	// Delivery satisfies the acquisition and returns it to the pool.
+	if n.wantFor(d, it) >= 0 {
+		t.Fatal("acquisition not released after the fallback delivered")
 	}
 }
 
@@ -58,11 +63,11 @@ func TestSendREQAbandonsWithoutAnyPath(t *testing.T) {
 		t.Fatalf("Originate: %v", err)
 	}
 	n := &fx.sys.nodes[1]
-	acq := &acquisition{prone: 0, scone: 0}
-	n.setWant(d, n.item(d), acq)
-	n.sendREQ(d, n.item(d), acq, 0, false) // multi-hop with no route at all
+	a := fx.sys.newAcq(1, d, n.item(d), 0)
+	n.setWant(d, n.item(d), a)
+	n.sendREQ(d, n.item(d), a, 0, false) // multi-hop with no route at all
 	run(t, fx, time.Second)
-	if !acq.abandoned {
+	if !fx.sys.acqs[a].abandoned {
 		t.Fatal("unroutable request not abandoned")
 	}
 	if fx.sys.Has(1, d) {
@@ -76,14 +81,15 @@ func TestSendREQRespectsAttemptBudget(t *testing.T) {
 	fx := chainFixture(t, 3, dissem.Everyone, 23)
 	d := packet.DataID{Origin: 0, Seq: 0}
 	n := &fx.sys.nodes[2]
-	acq := &acquisition{prone: 0, scone: 0, attempts: fx.sys.cfg.MaxAttempts}
-	n.setWant(d, n.item(d), acq)
-	n.sendREQ(d, n.item(d), acq, 0, true)
+	a := fx.sys.newAcq(2, d, n.item(d), 0)
+	fx.sys.acqs[a].attempts = int32(fx.sys.cfg.MaxAttempts)
+	n.setWant(d, n.item(d), a)
+	n.sendREQ(d, n.item(d), a, 0, true)
 	run(t, fx, 100*time.Millisecond)
 	if got := fx.nw.Counters().Sent[packet.REQ]; got != 0 {
 		t.Fatalf("REQ sent despite exhausted budget (%d)", got)
 	}
-	if !acq.abandoned {
+	if !fx.sys.acqs[a].abandoned {
 		t.Fatal("exhausted acquisition not abandoned")
 	}
 }
@@ -129,7 +135,7 @@ func TestReplyToQueryEmptyTrailDrops(t *testing.T) {
 	run(t, fx, 500*time.Millisecond)
 	n := &fx.sys.nodes[0]
 	before := fx.nw.Counters().Drops
-	n.replyToQuery(packet.Packet{Kind: packet.QRY, Meta: d, Requester: 2})
+	n.replyToQuery(&packet.Packet{Kind: packet.QRY, Meta: d, Requester: 2})
 	if fx.nw.Counters().Drops != before+1 {
 		t.Fatal("empty-trail query reply not dropped")
 	}
@@ -150,7 +156,7 @@ func TestServeDATAUnreachableRequesterDrops(t *testing.T) {
 	fx.field.Move(2, fx.field.Bounds().Max)
 	n := &fx.sys.nodes[0]
 	before := fx.nw.Counters().Drops
-	n.serveDATA(packet.Packet{
+	n.serveDATA(&packet.Packet{
 		Kind: packet.REQ, Meta: d, Src: 2, Dst: 0, Requester: 2, Provider: 0,
 	})
 	// Chain bounds keep node 2 on the line; force a true out-of-range case
@@ -167,13 +173,93 @@ func TestForwardSourceRoutedConsumesTrail(t *testing.T) {
 	n := &fx.sys.nodes[1]
 	d := packet.DataID{Origin: 0, Seq: 0}
 	// Empty trail: not consumed (falls back to table routing).
-	if n.forwardSourceRouted(packet.Packet{Kind: packet.DATA, Meta: d}) {
+	if n.forwardSourceRouted(&packet.Packet{Kind: packet.DATA, Meta: d}) {
 		t.Fatal("empty trail should not be consumed")
 	}
 	// One-hop trail to a reachable node: consumed and forwarded.
 	p := packet.Packet{Kind: packet.DATA, Meta: d, Requester: 2, Provider: 0,
 		Trail: []packet.NodeID{2}, Bytes: 40}
-	if !n.forwardSourceRouted(p) {
+	if !n.forwardSourceRouted(&p) {
 		t.Fatal("valid trail not consumed")
+	}
+}
+
+// TestTimerArmingAllocFree is the allocation guard for SPMS's timers: τADV
+// and τDAT are armed through handlers bound once per System, with the
+// pooled acquisition's index as the argument, so a steady-state acquire →
+// arm → re-arm → release cycle allocates nothing (CI runs it explicitly).
+func TestTimerArmingAllocFree(t *testing.T) {
+	fx := chainFixture(t, 3, dissem.Everyone, 29)
+	d := packet.DataID{Origin: 0, Seq: 0}
+	if err := fx.sys.Originate(0, d); err != nil {
+		t.Fatalf("Originate: %v", err)
+	}
+	n := &fx.sys.nodes[2]
+	it := n.item(d)
+	cycle := func() {
+		a := fx.sys.newAcq(n.id, d, it, 0)
+		n.setWant(d, it, a)
+		for i := 0; i < 4; i++ {
+			n.armTauADV(a)
+			n.armTauDAT(a, 1+i%2)
+		}
+		acq := &fx.sys.acqs[a]
+		if !acq.timers[advTimer].Active() || !acq.timers[datTimer].Active() || !acq.armed[advTimer] || !acq.armed[datTimer] {
+			t.Fatal("armed timers not active")
+		}
+		acq.stop(advTimer)
+		acq.stop(datTimer)
+		n.clearWant(d, it)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("τADV/τDAT arming cycle allocated %.1f times, want 0", allocs)
+	}
+	if got := fx.sched.Counts().LanePushes; got == 0 {
+		t.Fatal("re-armed timers never rode a lane")
+	}
+}
+
+// TestTimerFlagsMirrorScheduler checks that every acquisition's armed flags
+// agree with the scheduler's own view of its τADV/τDAT events throughout a
+// run with multi-hop waits, failovers and abandonment.
+func TestTimerFlagsMirrorScheduler(t *testing.T) {
+	fx := gridFixture(t, 49, 12, dissem.Everyone, 30)
+	for src := packet.NodeID(0); src < 49; src += 8 {
+		if err := fx.sys.Originate(src, packet.DataID{Origin: src, Seq: 0}); err != nil {
+			t.Fatalf("Originate: %v", err)
+		}
+	}
+	// Transient failures force τDAT expiries and failovers.
+	for i, id := range []packet.NodeID{3, 17, 24, 31, 45} {
+		id := id
+		at := time.Duration(2+3*i) * time.Millisecond
+		fx.sched.At(at, func() { fx.nw.Fail(id) })
+		fx.sched.At(at+40*time.Millisecond, func() { fx.nw.Recover(id) })
+	}
+	checks, armed := 0, 0
+	var check func()
+	check = func() {
+		for a := range fx.sys.acqs {
+			acq := &fx.sys.acqs[a]
+			for k, tm := range acq.timers {
+				if acq.armed[k] != tm.Active() {
+					t.Fatalf("t=%v acquisition %d timer %d: armed=%v, scheduler Active=%v",
+						fx.sched.Now(), a, k, acq.armed[k], tm.Active())
+				}
+				if acq.armed[k] {
+					armed++
+				}
+			}
+		}
+		if checks++; fx.sched.Now() < time.Second {
+			fx.sched.After(25*time.Microsecond, check)
+		}
+	}
+	fx.sched.At(0, check)
+	run(t, fx, 2*time.Second)
+	if armed == 0 || fx.nw.Counters().Timeouts == 0 || fx.nw.Counters().Failovers == 0 {
+		t.Fatalf("run never exercised the timers: armed=%d timeouts=%d failovers=%d",
+			armed, fx.nw.Counters().Timeouts, fx.nw.Counters().Failovers)
 	}
 }

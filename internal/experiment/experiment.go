@@ -588,7 +588,17 @@ func RunWith(sc Scenario, cfg RunConfig) (Result, error) {
 		return Result{}, err
 	}
 	eventSpan.End()
-	o.RecordKernel(sched.Dispatched(), sched.PeakHeapDepth(), sched.ArenaSize())
+	c := sched.Counts()
+	o.RecordKernel(obs.Kernel{
+		EventsDispatched:  sched.Dispatched(),
+		PeakHeapDepth:     sched.PeakHeapDepth(),
+		ArenaHighWater:    sched.ArenaSize(),
+		LanePushes:        c.LanePushes,
+		HeapPushes:        c.HeapPushes,
+		Cancels:           c.Cancels,
+		TombstonesSkipped: c.TombstonesSkipped,
+		PeakLanes:         c.PeakLanes,
+	})
 	o.EndRun()
 
 	fillResult(&res, gen, ledger, nw)

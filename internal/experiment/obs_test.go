@@ -143,7 +143,10 @@ func TestObserverPreservesResult(t *testing.T) {
 
 // TestRunStatsPopulated checks the phase/kernel profile of a real run is
 // coherent: events dispatched, a non-trivial peak heap, and non-zero phase
-// spans that sum to no more than the wall clock.
+// spans that sum to no more than the wall clock. Every arena slot in use is
+// a pending event, but posted lane events hold none, so the arena's high
+// water is at most the peak pending count, and every pending event was
+// pushed onto a lane or the heap.
 func TestRunStatsPopulated(t *testing.T) {
 	o := &obs.RunObserver{}
 	if _, err := RunWith(obsScenario(), RunConfig{Obs: o}); err != nil {
@@ -153,8 +156,10 @@ func TestRunStatsPopulated(t *testing.T) {
 	if st.EventsDispatched == 0 {
 		t.Fatal("EventsDispatched = 0")
 	}
-	if st.PeakHeapDepth <= 0 || st.ArenaHighWater < st.PeakHeapDepth {
-		t.Fatalf("kernel stats incoherent: peak heap %d, arena %d", st.PeakHeapDepth, st.ArenaHighWater)
+	if st.PeakHeapDepth <= 0 || st.ArenaHighWater <= 0 || st.ArenaHighWater > st.PeakHeapDepth ||
+		uint64(st.PeakHeapDepth) > st.LanePushes+st.HeapPushes || st.PeakLanes <= 0 {
+		t.Fatalf("kernel stats incoherent: peak heap %d, arena %d, lane/heap pushes %d/%d, peak lanes %d",
+			st.PeakHeapDepth, st.ArenaHighWater, st.LanePushes, st.HeapPushes, st.PeakLanes)
 	}
 	if st.TopologyBuild <= 0 || st.RouteCompute <= 0 || st.EventLoop <= 0 {
 		t.Fatalf("phase spans missing: %+v", st)

@@ -108,7 +108,7 @@ var _ network.Receiver = (*node)(nil)
 // HandlePacket runs the flooding reaction. The processing delay is applied
 // by the network's batched deferred dispatch (DeferProcessing in NewSystem),
 // which also re-checks liveness before calling here.
-func (n *node) HandlePacket(p packet.Packet) {
+func (n *node) HandlePacket(p *packet.Packet) {
 	if p.Kind != packet.DATA {
 		panic(fmt.Sprintf("flood: node %d received unexpected %v", n.id, p.Kind))
 	}

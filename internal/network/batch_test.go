@@ -23,7 +23,7 @@ type timedRecorder struct {
 	times []time.Duration
 }
 
-func (r *timedRecorder) HandlePacket(p packet.Packet) {
+func (r *timedRecorder) HandlePacket(*packet.Packet) {
 	r.times = append(r.times, r.fx.sched.Now())
 	*r.order = append(*r.order, r.id)
 }
@@ -136,7 +136,7 @@ type forwarder struct {
 	sent bool
 }
 
-func (f *forwarder) HandlePacket(p packet.Packet) {
+func (f *forwarder) HandlePacket(*packet.Packet) {
 	f.got++
 	if !f.sent {
 		f.sent = true
@@ -174,7 +174,7 @@ func TestDeferredReentrantSendGrowsArenaSafely(t *testing.T) {
 // state allocates nothing on the receiver side either.
 type countingRecorder struct{ n int }
 
-func (r *countingRecorder) HandlePacket(packet.Packet) { r.n++ }
+func (r *countingRecorder) HandlePacket(*packet.Packet) { r.n++ }
 
 // TestBatchedDispatchAllocFree is the 0-alloc guard on the batched dispatch
 // path (run in CI): after warmup, a full Send → complete → batched-handler

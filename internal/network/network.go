@@ -34,9 +34,12 @@ import (
 )
 
 // Receiver is a per-node protocol instance. HandlePacket runs at delivery
-// time with the scheduler clock set to the delivery instant.
+// time with the scheduler clock set to the delivery instant. p is the
+// network's copy of the packet, shared by every receiver of the
+// transmission and valid only during the call: a receiver must neither
+// modify nor retain it (copy it to forward it).
 type Receiver interface {
-	HandlePacket(p packet.Packet)
+	HandlePacket(p *packet.Packet)
 }
 
 // TraceKind classifies trace events.
@@ -120,12 +123,17 @@ type Network struct {
 	busyUntil    []time.Duration
 	carrierSense bool
 
-	// In-flight transmission arena plus the pre-bound event handlers
-	// (method values created once so AtArg scheduling never allocates).
+	// In-flight transmission arena plus the event handlers, registered
+	// once with the scheduler so each transmission's events are posted
+	// without a closure or a Timer.
 	flights     []flight
 	freeFlights []uint64
-	completeFn  sim.ArgHandler
-	deliverFn   sim.ArgHandler
+	completeH   sim.Handle
+	deliverH    sim.Handle
+	// handling is the packet handed to receivers: one copy per batch, not
+	// per receiver, and out of the flight arena, which a handler's Send
+	// may move.
+	handling packet.Packet
 
 	// Deferred processing (DeferProcessing): when enabled, a completed
 	// transmission charges energy and traces per receiver at delivery time
@@ -171,10 +179,8 @@ func New(sched *sim.Scheduler, field *topo.Field, rng *sim.RNG, cfg Config) (*Ne
 		energy:       metrics.NewEnergyAccount(n),
 		count:        metrics.NewCounters(),
 	}
-	// Method values allocate at each evaluation; binding them once here
-	// keeps the per-transmission scheduling path allocation-free.
-	nw.completeFn = nw.onComplete
-	nw.deliverFn = nw.onDeliverBatch
+	nw.completeH = sched.Register(nw.onComplete)
+	nw.deliverH = sched.Register(nw.onDeliverBatch)
 	return nw, nil
 }
 
@@ -333,7 +339,7 @@ func (nw *Network) Send(p packet.Packet) {
 	nw.count.CountSend(p.Kind)
 	nw.emit(TraceEvent{Kind: TraceTx, Packet: p, Node: p.Src})
 
-	nw.sched.AtArg(end, nw.completeFn, nw.allocFlight(p))
+	nw.sched.Post(end, nw.completeH, nw.allocFlight(p))
 }
 
 // onComplete finishes the transmission in arena slot arg: verifies the
@@ -341,11 +347,13 @@ func (nw *Network) Send(p packet.Packet) {
 // recipient set. In deferred mode the recipients' handlers run later in one
 // batched event; otherwise they run here, synchronously, in receiver order.
 func (nw *Network) onComplete(arg uint64) {
-	p := nw.flights[arg].p
+	// p is read in place: nothing below Sends before the receivers are
+	// walked, and deliver re-reads the slot itself.
+	p := &nw.flights[arg].p
 	if !nw.alive[p.Src] {
 		// Sender failed mid-transmission: the frame never finished.
 		nw.count.Drops++
-		nw.emit(TraceEvent{Kind: TraceDrop, Packet: p, Node: p.Src, Reason: "sender failed mid-tx"})
+		nw.emit(TraceEvent{Kind: TraceDrop, Packet: *p, Node: p.Src, Reason: "sender failed mid-tx"})
 		nw.freeFlight(arg)
 		return
 	}
@@ -354,41 +362,45 @@ func (nw *Network) onComplete(arg uint64) {
 
 	if p.Dst == packet.Broadcast {
 		for _, dst := range nw.field.ReachedBy(p.Src, p.Level) {
-			nw.deliver(arg, p, dst)
+			nw.deliver(arg, dst)
 		}
 	} else {
 		nw.check(p.Dst)
 		if !nw.field.InRange(p.Src, p.Dst, p.Level) {
 			// Receiver moved out of range during the exchange.
 			nw.count.Drops++
-			nw.emit(TraceEvent{Kind: TraceDrop, Packet: p, Node: p.Dst, Reason: "out of range"})
+			nw.emit(TraceEvent{Kind: TraceDrop, Packet: *p, Node: p.Dst, Reason: "out of range"})
 			nw.freeFlight(arg)
 			return
 		}
-		nw.deliver(arg, p, p.Dst)
+		nw.deliver(arg, p.Dst)
 	}
 	// Re-take the slot pointer: synchronous handlers may have Sent, growing
 	// the arena and moving its backing array.
 	if fl := &nw.flights[arg]; nw.deferred && len(fl.dsts) > 0 {
-		nw.sched.AtArg(nw.sched.Now()+nw.proc, nw.deliverFn, arg)
+		nw.sched.Post(nw.sched.Now()+nw.proc, nw.deliverH, arg)
 		return
 	}
 	nw.freeFlight(arg)
 }
 
-// deliver records the delivery of p to dst at the current (completion)
-// time: liveness check, receive energy, trace. In deferred mode the handler
-// call is queued on the flight's batch; otherwise it runs immediately.
-func (nw *Network) deliver(arg uint64, p packet.Packet, dst packet.NodeID) {
+// deliver records the delivery of flight arg's packet to dst at the current
+// (completion) time: liveness check, receive energy, trace. In deferred mode
+// the handler call is queued on the flight's batch; otherwise it runs
+// immediately. The packet is read in place: a synchronous handler may Send
+// and move the arena, but only after the last read here.
+func (nw *Network) deliver(arg uint64, dst packet.NodeID) {
+	fl := &nw.flights[arg]
 	if !nw.alive[dst] {
 		nw.count.Drops++
-		nw.emit(TraceEvent{Kind: TraceDrop, Packet: p, Node: dst, Reason: "receiver down"})
+		nw.emit(TraceEvent{Kind: TraceDrop, Packet: fl.p, Node: dst, Reason: "receiver down"})
 		return
 	}
-	nw.energy.AddRx(dst, nw.field.Model().RxEnergy(p.Bytes))
-	nw.emit(TraceEvent{Kind: TraceDeliver, Packet: p, Node: dst})
+	nw.energy.AddRx(dst, nw.field.Model().RxEnergy(fl.p.Bytes))
+	if nw.trace != nil {
+		nw.trace(TraceEvent{Kind: TraceDeliver, Packet: fl.p, Node: dst})
+	}
 	if nw.deferred {
-		fl := &nw.flights[arg]
 		fl.dsts = append(fl.dsts, dst)
 		return
 	}
@@ -396,7 +408,8 @@ func (nw *Network) deliver(arg uint64, p packet.Packet, dst packet.NodeID) {
 	if h == nil {
 		panic(fmt.Sprintf("network: node %d has no bound receiver", dst))
 	}
-	h.HandlePacket(p)
+	nw.handling = fl.p
+	h.HandlePacket(&nw.handling)
 }
 
 // onDeliverBatch runs the protocol handlers of every receiver collected at
@@ -406,7 +419,7 @@ func (nw *Network) deliver(arg uint64, p packet.Packet, dst packet.NodeID) {
 // Send (growing the arena), so the slot is re-indexed each iteration and
 // freed only after the last handler returns.
 func (nw *Network) onDeliverBatch(arg uint64) {
-	p := nw.flights[arg].p
+	nw.handling = nw.flights[arg].p
 	for i := 0; ; i++ {
 		fl := &nw.flights[arg]
 		if i >= len(fl.dsts) {
@@ -420,7 +433,7 @@ func (nw *Network) onDeliverBatch(arg uint64) {
 		if h == nil {
 			panic(fmt.Sprintf("network: node %d has no bound receiver", dst))
 		}
-		h.HandlePacket(p)
+		h.HandlePacket(&nw.handling)
 	}
 	nw.freeFlight(arg)
 }

@@ -17,7 +17,7 @@ type recorder struct {
 	got []packet.Packet
 }
 
-func (r *recorder) HandlePacket(p packet.Packet) { r.got = append(r.got, p) }
+func (r *recorder) HandlePacket(p *packet.Packet) { r.got = append(r.got, *p) }
 
 type fixture struct {
 	sched *sim.Scheduler

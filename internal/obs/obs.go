@@ -47,12 +47,26 @@ type RunStats struct {
 	EventLoop     time.Duration `json:"eventLoopNs"`     // scheduler dispatch
 	Wall          time.Duration `json:"wallNs"`          // whole run, BeginRun to EndRun
 
+	Kernel
+
+	TimelineSamples int    `json:"timelineSamples,omitempty"` // samples held after decimation
+	TraceEvents     uint64 `json:"traceEvents,omitempty"`     // trace lines written
+}
+
+// Kernel holds the event kernel's internals, read from the scheduler after
+// the run. Its fields appear flat in RunStats and its JSON form.
+type Kernel struct {
 	EventsDispatched uint64 `json:"eventsDispatched"` // events fired by the kernel
 	PeakHeapDepth    int    `json:"peakHeapDepth"`    // max simultaneously pending events
 	ArenaHighWater   int    `json:"arenaHighWater"`   // event arena slots ever allocated
 
-	TimelineSamples int    `json:"timelineSamples,omitempty"` // samples held after decimation
-	TraceEvents     uint64 `json:"traceEvents,omitempty"`     // trace lines written
+	// How the pending set was queued (sim.Counts): recurring delays go to
+	// FIFO lanes, one-off delays to the fallback heap.
+	LanePushes        uint64 `json:"lanePushes"`        // events queued in a delay lane
+	HeapPushes        uint64 `json:"heapPushes"`        // events queued in the fallback heap
+	Cancels           uint64 `json:"cancels"`           // pending events canceled
+	TombstonesSkipped uint64 `json:"tombstonesSkipped"` // canceled lane entries passed over at a lane head
+	PeakLanes         int    `json:"peakLanes"`         // most lanes holding events at once
 }
 
 // RunObserver collects observability for one simulation run. The zero
@@ -128,13 +142,11 @@ func (s Span) End() {
 
 // RecordKernel stores the event-kernel internals read from the scheduler
 // after the run.
-func (o *RunObserver) RecordKernel(dispatched uint64, peakHeap, arena int) {
+func (o *RunObserver) RecordKernel(k Kernel) {
 	if o == nil {
 		return
 	}
-	o.stats.EventsDispatched = dispatched
-	o.stats.PeakHeapDepth = peakHeap
-	o.stats.ArenaHighWater = arena
+	o.stats.Kernel = k
 }
 
 // Stats returns the collected profile, folding in the attached sinks'

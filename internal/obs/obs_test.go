@@ -224,7 +224,7 @@ func TestRunObserverPhasesAccumulate(t *testing.T) {
 	sp := o.StartPhase(PhaseEvents)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	o.RecordKernel(1234, 56, 78)
+	o.RecordKernel(Kernel{EventsDispatched: 1234, PeakHeapDepth: 56, ArenaHighWater: 78, LanePushes: 9})
 	o.EndRun()
 
 	st := o.Stats()
@@ -237,7 +237,7 @@ func TestRunObserverPhasesAccumulate(t *testing.T) {
 	if st.Wall < st.RouteCompute+st.EventLoop {
 		t.Fatalf("Wall %v < RouteCompute+EventLoop %v", st.Wall, st.RouteCompute+st.EventLoop)
 	}
-	if st.EventsDispatched != 1234 || st.PeakHeapDepth != 56 || st.ArenaHighWater != 78 {
+	if st.EventsDispatched != 1234 || st.PeakHeapDepth != 56 || st.ArenaHighWater != 78 || st.LanePushes != 9 {
 		t.Fatalf("kernel stats not recorded: %+v", st)
 	}
 }
@@ -276,7 +276,7 @@ func TestZeroValueObservabilityAllocFree(t *testing.T) {
 		o.BeginRun()
 		sp := o.StartPhase(PhaseEvents)
 		sp.End()
-		o.RecordKernel(1, 2, 3)
+		o.RecordKernel(Kernel{EventsDispatched: 1, PeakHeapDepth: 2, ArenaHighWater: 3})
 		o.EndRun()
 		_ = o.Stats()
 		tl.Offer(s)

@@ -7,11 +7,20 @@
 // the order they were scheduled, which — combined with a seeded RNG — makes
 // every run bit-for-bit reproducible.
 //
-// Internally the pending set is a 4-ary min-heap of indices into a pooled
-// event arena: scheduling reuses arena slots through a free list, so the
-// steady-state hot path (schedule → dispatch → recycle) performs no heap
-// allocation. A Scheduler is single-threaded by design (see DESIGN.md §5.1);
-// parallelism lives above the kernel, one Scheduler per goroutine.
+// Pending events are queued in one of two places. An event whose delay
+// (at − Now when scheduled) recurs gets a FIFO lane for that delay: the
+// clock never runs backwards, so a lane receives its events already sorted
+// and a push is an append. A small 4-ary heap orders the lane heads. Events
+// with one-off delays, and delays that lose a slot in the bounded lane
+// table, go to a 4-ary fallback heap instead. Dispatch pops the smaller
+// (at, seq) of the two roots, so the total order — and every output byte —
+// is the same as a single heap's. Events scheduled with a Timer keep their
+// payload in a pooled arena whose slots are recycled through a free list;
+// events posted to a registered handler (Post) need no Timer, and on a lane
+// they live in the ring entry alone. The steady-state hot path (schedule →
+// dispatch → recycle) performs no heap allocation. A Scheduler is
+// single-threaded by design (see DESIGN.md §5.1); parallelism lives above
+// the kernel, one Scheduler per goroutine.
 package sim
 
 import (
@@ -29,28 +38,42 @@ var ErrStopped = errors.New("sim: stopped")
 type Handler func()
 
 // ArgHandler is a scheduled callback that receives the argument it was
-// scheduled with (AtArg/AfterArg). Carrying the argument through the event
-// arena lets hot paths schedule a method value plus an index instead of
-// allocating a fresh closure per event — the network layer's transmission
-// and delivery-batch events use this to keep the steady-state schedule →
-// dispatch → recycle cycle allocation-free.
+// scheduled with (AtArg/AfterArg, or Post once registered). Carrying the
+// argument through the kernel lets hot paths schedule a method value plus
+// an index instead of allocating a fresh closure per event — SPMS's τADV
+// and τDAT timers use AtArg, and the network layer posts its transmission
+// and delivery-batch events, keeping the steady-state schedule → dispatch
+// → recycle cycle allocation-free.
 type ArgHandler func(arg uint64)
 
-// event is one arena slot. seq breaks ties between events at the same
+// event is one arena slot: the payload dispatch reads, 32 bytes so a slot
+// never straddles a cache line. seq breaks ties between events at the same
 // virtual instant so dispatch order is deterministic; it is also the
 // event's identity — unique over the scheduler's whole lifetime — so a
 // Timer holding the seq it was issued under can never alias the slot's
-// next occupant, even after arbitrarily many reuses. pos is the slot's
-// current position in the heap, -1 while free. Exactly one of fn/afn is
-// set; afn events carry arg.
+// next occupant, even after arbitrarily many reuses. A free slot holds
+// freeSeq, which no event is ever issued. Exactly one of fn/afn is set;
+// afn events carry arg. The event's time is its queue entry's key.
 type event struct {
-	at  time.Duration
 	seq uint64
 	fn  Handler
 	afn ArgHandler
 	arg uint64
-	pos int32
 }
+
+// freeSeq marks a free arena slot.
+const freeSeq = ^uint64(0)
+
+// loc says where a pending event is queued: lane is a lane index or inHeap,
+// and pos the lane ring position or the heap index. Only Cancel and the
+// queues' own moves read it, so it lives beside the arena, not in it.
+type loc struct {
+	pos  uint32
+	lane int32
+}
+
+// inHeap is loc.lane for an event pending in the fallback heap.
+const inHeap int32 = -1
 
 // Timer is a handle to a scheduled event. The zero value is an inert timer:
 // Cancel and Active are safe to call and do nothing. Timers are small value
@@ -68,20 +91,26 @@ func (t Timer) live() bool {
 	if t.s == nil {
 		return false
 	}
-	ev := &t.s.arena[t.idx]
-	return ev.pos >= 0 && ev.seq == t.seq
+	return t.s.arena[t.idx].seq == t.seq
 }
 
 // Cancel prevents the timer's handler from running and removes the event
-// from the pending set immediately. Canceling an already fired or already
-// canceled timer is a no-op. It reports whether the call actually canceled
-// a pending event.
+// from the pending set immediately: Len drops at once and the arena slot is
+// recycled. Canceling an already fired or already canceled timer is a
+// no-op. It reports whether the call actually canceled a pending event.
 func (t Timer) Cancel() bool {
 	if !t.live() {
 		return false
 	}
-	t.s.heapRemove(t.s.arena[t.idx].pos)
-	t.s.release(t.idx)
+	s := t.s
+	if l := s.locs[t.idx]; l.lane == inHeap {
+		s.heapRemove(int32(l.pos))
+	} else {
+		s.laneCancel(l.lane, l.pos)
+	}
+	s.release(t.idx)
+	s.pending--
+	s.counts.Cancels++
 	return true
 }
 
@@ -92,36 +121,104 @@ func (t Timer) Active() bool { return t.live() }
 // At returns the virtual time the timer is (or was) scheduled to fire.
 func (t Timer) At() time.Duration { return t.at }
 
-// heapEntry is one pending-heap element. It carries the full sort key
-// (at, seq) inline next to the arena index, so sift comparisons read the
-// contiguous heap slice instead of dereferencing scattered arena slots —
-// the approach of cache-friendly priority queues. The order is identical
-// to comparing through the arena, so dispatch order (and therefore all
-// simulation output) is unchanged.
+// heapEntry is one element of the fallback heap or of the lane-head heap.
+// It carries the full sort key (at, seq) inline next to an index (an arena
+// slot or a lane), so sift comparisons read the contiguous heap slice
+// instead of dereferencing scattered arena slots.
 type heapEntry struct {
 	at  time.Duration
 	seq uint64
 	idx int32
 }
 
+// laneEntry is one lane ring element: the event's sort key inline, so a
+// lane pop learns the next head's key and liveness from the same sequential
+// read, and its payload: a posted event's argument, or a Timer event's
+// arena slot. A canceled entry's seq is freeSeq.
+type laneEntry struct {
+	at  time.Duration
+	seq uint64
+	arg uint64
+}
+
+// lane is the FIFO of pending events scheduled with one delay, either all
+// posted to one registered handler or all holding Timers. Positions
+// are free-running uint32 counters; entry p lives at ring[p&(len(ring)-1)],
+// so growing the power-of-two ring keeps every position valid. Entries
+// between head and tail are sorted by (at, seq); dead of them are
+// tombstones. A lane is in the lane-head heap (queued) from its first push
+// until it is found empty at the root. Its key there may be stale, but
+// only ever low: heads leave, and later pushes carry larger keys. The lane
+// is retargeted to another delay or handler only while unqueued.
+type lane struct {
+	delay      time.Duration
+	handler    Handle // Post's handler, or timerLane
+	ring       []laneEntry
+	head, tail uint32
+	dead       uint32
+	queued     bool
+}
+
+// laneSlot is one entry of the direct-mapped lane table: the lane serving
+// the (delay, handler) keys that hash here (0 for none, else index+1) and
+// a fingerprint of the last key seen here without a lane. A key gets a
+// lane on its second sighting, so one-off delays never pay for one. (A
+// fingerprint collision only claims a lane early; the lane itself holds
+// the full key.) Eight bytes a slot keep the table at 32 KB.
+type laneSlot struct {
+	seen uint32
+	lane int32
+}
+
+// Handle names an ArgHandler registered with Register, for Post.
+type Handle int32
+
+// timerLane is lane.handler for a lane of Timer events, whose entries
+// carry arena slots.
+const timerLane Handle = -1
+
+// laneBits sizes the lane table. The SPMS workloads use a few hundred
+// recurring delays (τADV, τDAT, processing, and per-(contention, size)
+// flight times).
+const laneBits = 12
+
+// Counts are the scheduler's queue-routing counts, for observability.
+type Counts struct {
+	LanePushes        uint64 // events queued in a delay lane
+	HeapPushes        uint64 // events queued in the fallback heap
+	Cancels           uint64 // pending events canceled
+	TombstonesSkipped uint64 // canceled lane entries passed over by a lane head
+	PeakLanes         int    // most lanes queued in the lane-head heap at once
+}
+
 // Scheduler owns the virtual clock and the pending event set. The zero value
 // is ready to use. Scheduler is not safe for concurrent use: the simulation
 // model is single-threaded by design (see DESIGN.md §5.1).
 type Scheduler struct {
-	now     time.Duration
-	seq     uint64
-	arena   []event     // pooled event storage; slots are recycled via free
-	free    []int32     // free-list of arena slots
-	heap    []heapEntry // 4-ary min-heap ordered by (at, seq)
+	now   time.Duration
+	seq   uint64
+	arena []event     // pooled event storage; slots are recycled via free
+	locs  []loc       // queue position of each arena slot's pending event
+	free  []int32     // free-list of arena slots
+	heap  []heapEntry // fallback 4-ary min-heap ordered by (at, seq)
+
+	handlers []ArgHandler // registered for Post, by Handle
+
+	slots    []laneSlot  // direct-mapped (delay, handler) → lane table, allocated on first push
+	lanes    []lane      // lanes ever claimed, at most one per slot
+	laneHeap []heapEntry // 4-ary min-heap of queued lanes keyed by head (at, seq)
+
+	pending int // live pending events
 	stopped bool
 
 	// dispatched counts events that have fired, for observability and as a
 	// runaway guard in tests.
 	dispatched uint64
-	// maxHeap is the largest pending-set size seen, for observability
+	// maxPending is the largest pending-set size seen, for observability
 	// (obs.RunStats.PeakHeapDepth). One compare per push; never read on the
 	// hot path.
-	maxHeap int
+	maxPending int
+	counts     Counts
 }
 
 // NewScheduler returns an empty scheduler with the clock at zero.
@@ -132,21 +229,24 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
-// Len returns the number of pending events in O(1). Canceled events are
-// removed from the heap eagerly, so the heap length is the live count.
-func (s *Scheduler) Len() int { return len(s.heap) }
+// Len returns the number of pending events in O(1): a live count kept on
+// every schedule, cancel and dispatch, which lane tombstones never inflate.
+func (s *Scheduler) Len() int { return s.pending }
 
 // Dispatched returns the total number of events that have fired.
 func (s *Scheduler) Dispatched() uint64 { return s.dispatched }
 
 // PeakHeapDepth returns the largest number of simultaneously pending
-// events over the scheduler's lifetime.
-func (s *Scheduler) PeakHeapDepth() int { return s.maxHeap }
+// events over the scheduler's lifetime, lanes and heap together.
+func (s *Scheduler) PeakHeapDepth() int { return s.maxPending }
 
 // ArenaSize returns the number of event arena slots ever allocated — the
 // pool's high-water mark, since slots are recycled and the arena only
 // grows when every slot is in use.
 func (s *Scheduler) ArenaSize() int { return len(s.arena) }
+
+// Counts returns the queue-routing counts accumulated so far.
+func (s *Scheduler) Counts() Counts { return s.counts }
 
 // alloc takes a slot from the free list, growing the arena only when the
 // pool is exhausted.
@@ -156,19 +256,22 @@ func (s *Scheduler) alloc() int32 {
 		s.free = s.free[:n-1]
 		return idx
 	}
-	s.arena = append(s.arena, event{pos: -1})
+	s.arena = append(s.arena, event{seq: freeSeq})
+	s.locs = append(s.locs, loc{})
 	return int32(len(s.arena) - 1)
 }
 
-// release recycles a slot: clearing pos invalidates outstanding Timers
-// (their seq check closes the reuse race), and dropping fn releases the
-// handler closure to the GC.
+// take returns slot idx's payload and recycles the slot.
+func (s *Scheduler) take(idx int32) (Handler, ArgHandler, uint64) {
+	ev := s.arena[idx]
+	s.release(idx)
+	return ev.fn, ev.afn, ev.arg
+}
+
+// release recycles a slot: freeSeq invalidates outstanding Timers, and
+// dropping fn releases the handler closure to the GC.
 func (s *Scheduler) release(idx int32) {
-	ev := &s.arena[idx]
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = 0
-	ev.pos = -1
+	s.arena[idx] = event{seq: freeSeq}
 	s.free = append(s.free, idx)
 }
 
@@ -181,15 +284,232 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// heapPush appends the slot and sifts it up.
-func (s *Scheduler) heapPush(idx int32) {
-	ev := &s.arena[idx]
-	ev.pos = int32(len(s.heap))
-	s.heap = append(s.heap, heapEntry{at: ev.at, seq: ev.seq, idx: idx})
-	if len(s.heap) > s.maxHeap {
-		s.maxHeap = len(s.heap)
+// schedule queues an event with payload fn or afn(arg) at time at: in its
+// delay's lane when the delay has one or earns one, else in the fallback
+// heap.
+func (s *Scheduler) schedule(at time.Duration, fn Handler, afn ArgHandler, arg uint64) Timer {
+	seq := s.next()
+	idx := s.alloc()
+	s.arena[idx] = event{seq: seq, fn: fn, afn: afn, arg: arg}
+	if l := s.laneFor(at-s.now, timerLane); l >= 0 {
+		s.lanePush(l, laneEntry{at: at, seq: seq, arg: uint64(idx)})
+		s.locs[idx] = loc{pos: s.lanes[l].tail - 1, lane: l}
+	} else {
+		s.heapPush(heapEntry{at: at, seq: seq, idx: idx})
 	}
-	s.siftUp(len(s.heap) - 1)
+	return Timer{s: s, idx: idx, seq: seq, at: at}
+}
+
+// next issues the sequence number of a new pending event.
+func (s *Scheduler) next() uint64 {
+	s.pending++
+	if s.pending > s.maxPending {
+		s.maxPending = s.pending
+	}
+	s.seq++
+	return s.seq - 1
+}
+
+// Register records fn for Post and returns its handle. Like a method value
+// bound once for AtArg, fn is meant to be registered once and posted to
+// many times.
+func (s *Scheduler) Register(fn ArgHandler) Handle {
+	if fn == nil {
+		panic("sim: Scheduler.Register: nil handler")
+	}
+	s.handlers = append(s.handlers, fn)
+	return Handle(len(s.handlers) - 1)
+}
+
+// Post schedules the handler registered as h to run with arg at the
+// absolute virtual time at. It orders exactly like AtArg but returns no
+// Timer, so the event cannot be canceled — which lets a posted event that
+// rides a lane live in its ring entry alone, with no arena slot to
+// allocate, read and recycle. Scheduling in the past panics.
+func (s *Scheduler) Post(at time.Duration, h Handle, arg uint64) {
+	if h < 0 || int(h) >= len(s.handlers) {
+		panic(fmt.Sprintf("sim: Scheduler.Post: unregistered handle %d", h))
+	}
+	if at < s.now {
+		panic(fmt.Sprintf("sim: Scheduler.Post: scheduling at %v before now %v", at, s.now))
+	}
+	seq := s.next()
+	if l := s.laneFor(at-s.now, h); l >= 0 {
+		s.lanePush(l, laneEntry{at: at, seq: seq, arg: arg})
+		return
+	}
+	idx := s.alloc()
+	s.arena[idx] = event{seq: seq, afn: s.handlers[h], arg: arg}
+	s.heapPush(heapEntry{at: at, seq: seq, idx: idx})
+}
+
+// laneFor returns the lane for delay d and handler h (timerLane for Timer
+// events), claiming or retargeting one on the key's second sighting, or -1
+// when the event stays in the heap.
+func (s *Scheduler) laneFor(d time.Duration, h Handle) int32 {
+	if s.slots == nil {
+		s.slots = make([]laneSlot, 1<<laneBits)
+	}
+	k := laneKey(d, h)
+	sl := &s.slots[k>>(64-laneBits)]
+	seen := sl.seen == uint32(k)
+	if sl.lane != 0 {
+		ln := &s.lanes[sl.lane-1]
+		if ln.delay == d && ln.handler == h {
+			return sl.lane - 1
+		}
+		if !ln.queued && seen {
+			ln.delay, ln.handler = d, h
+			return sl.lane - 1
+		}
+	} else if seen {
+		s.lanes = append(s.lanes, lane{delay: d, handler: h})
+		sl.lane = int32(len(s.lanes))
+		return sl.lane - 1
+	}
+	sl.seen = uint32(k)
+	return -1
+}
+
+// laneKey hashes delay d and handler h (Fibonacci hashing): the top
+// laneBits bits pick the lane table slot, the low 32 are the fingerprint.
+func laneKey(d time.Duration, h Handle) uint64 {
+	return (uint64(d) + uint64(h)<<48) * 0x9E3779B97F4A7C15
+}
+
+// lanePush appends e to lane l and queues the lane if it was not.
+func (s *Scheduler) lanePush(l int32, e laneEntry) {
+	s.counts.LanePushes++
+	ln := &s.lanes[l]
+	if ln.tail-ln.head == uint32(len(ln.ring)) {
+		ln.grow()
+	}
+	ln.ring[ln.tail&uint32(len(ln.ring)-1)] = e
+	ln.tail++
+	if !ln.queued {
+		ln.queued = true
+		s.laneHeap = append(s.laneHeap, heapEntry{at: e.at, seq: e.seq, idx: l})
+		if len(s.laneHeap) > s.counts.PeakLanes {
+			s.counts.PeakLanes = len(s.laneHeap)
+		}
+		siftUp(s.laneHeap, len(s.laneHeap)-1, nil)
+	}
+}
+
+// grow doubles the ring, re-placing each entry at its unchanged position.
+func (ln *lane) grow() {
+	n := 2 * len(ln.ring)
+	if n == 0 {
+		n = 8
+	}
+	ring := make([]laneEntry, n)
+	for p := ln.head; p != ln.tail; p++ {
+		ring[p&uint32(n-1)] = ln.ring[p&uint32(len(ln.ring)-1)]
+	}
+	ln.ring = ring
+}
+
+// laneCancel turns the entry at position p of lane l into a tombstone.
+// Tombstones stay bounded: a canceled tail is popped along with the
+// tombstones before it, and a lane whose tombstones outnumber its live
+// entries is compacted. Neither moves the lane's key below its true head.
+func (s *Scheduler) laneCancel(l int32, p uint32) {
+	ln := &s.lanes[l]
+	mask := uint32(len(ln.ring) - 1)
+	ln.ring[p&mask].seq = freeSeq
+	if p+1 == ln.tail {
+		ln.tail--
+		for ln.tail != ln.head && ln.ring[(ln.tail-1)&mask].seq == freeSeq {
+			ln.tail--
+			ln.dead--
+		}
+		return
+	}
+	ln.dead++
+	if ln.dead > ln.tail-ln.head-ln.dead {
+		s.compact(ln)
+	}
+}
+
+// compact squeezes the tombstones out of ln, moving live entries toward the
+// head and updating their positions.
+func (s *Scheduler) compact(ln *lane) {
+	mask := uint32(len(ln.ring) - 1)
+	w := ln.head
+	for r := ln.head; r != ln.tail; r++ {
+		e := ln.ring[r&mask]
+		if e.seq == freeSeq {
+			continue
+		}
+		if w != r {
+			ln.ring[w&mask] = e
+			s.locs[e.arg].pos = w
+		}
+		w++
+	}
+	ln.tail = w
+	ln.dead = 0
+}
+
+// laneFront makes the lane-head heap's root exact: it drops tombstones at
+// the root lane's head, unqueues the root if its lane is empty, and
+// re-keys it if its key is stale, until the root names a live head with
+// its true key. Every other queued lane's key is at most its true head's,
+// so the root then holds the earliest lane event. It reports whether any
+// lane event is pending.
+func (s *Scheduler) laneFront() bool {
+	for len(s.laneHeap) > 0 {
+		root := &s.laneHeap[0]
+		ln := &s.lanes[root.idx]
+		if ln.head == ln.tail {
+			ln.queued = false
+			last := len(s.laneHeap) - 1
+			s.laneHeap[0] = s.laneHeap[last]
+			s.laneHeap = s.laneHeap[:last]
+			siftDown(s.laneHeap, 0, nil)
+			continue
+		}
+		e := &ln.ring[ln.head&uint32(len(ln.ring)-1)]
+		if e.seq == freeSeq {
+			ln.head++
+			ln.dead--
+			s.counts.TombstonesSkipped++
+			continue
+		}
+		if root.seq == e.seq {
+			return true
+		}
+		root.at, root.seq = e.at, e.seq
+		siftDown(s.laneHeap, 0, nil)
+	}
+	return false
+}
+
+// lanePop removes the root lane's head, which laneFront has made exact, and
+// returns its payload and the lane's handler. It re-keys the root from the
+// next entry when that is live, leaving tombstones and empty lanes to
+// laneFront.
+func (s *Scheduler) lanePop() (arg uint64, h Handle) {
+	root := &s.laneHeap[0]
+	ln := &s.lanes[root.idx]
+	mask := uint32(len(ln.ring) - 1)
+	arg, h = ln.ring[ln.head&mask].arg, ln.handler
+	ln.head++
+	if ln.head != ln.tail {
+		if e := &ln.ring[ln.head&mask]; e.seq != freeSeq {
+			root.at, root.seq = e.at, e.seq
+			siftDown(s.laneHeap, 0, nil)
+		}
+	}
+	return arg, h
+}
+
+// heapPush appends e to the fallback heap and sifts it up.
+func (s *Scheduler) heapPush(e heapEntry) {
+	s.counts.HeapPushes++
+	s.locs[e.idx].lane = inHeap
+	s.heap = append(s.heap, e)
+	siftUp(s.heap, len(s.heap)-1, s.locs)
 }
 
 // heapRemove deletes the entry at heap position i (eager cancel and pop
@@ -202,55 +522,67 @@ func (s *Scheduler) heapRemove(i int32) {
 		return
 	}
 	s.heap[i] = moved
-	s.arena[moved.idx].pos = i
-	s.siftDown(int(i))
-	s.siftUp(int(i))
+	s.locs[moved.idx].pos = uint32(i)
+	siftDown(s.heap, int(i), s.locs)
+	siftUp(s.heap, int(i), s.locs)
 }
 
-// siftUp restores heap order from position i toward the root.
-func (s *Scheduler) siftUp(i int) {
-	e := s.heap[i]
+// siftUp restores 4-ary heap order in h from position i toward the root.
+// When locs is non-nil it records each moved entry's new position (the
+// fallback heap); the lane-head heap passes nil, since only its root is
+// ever re-keyed.
+func siftUp(h []heapEntry, i int, locs []loc) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !entryLess(e, s.heap[parent]) {
+		if !entryLess(e, h[parent]) {
 			break
 		}
-		s.heap[i] = s.heap[parent]
-		s.arena[s.heap[i].idx].pos = int32(i)
+		h[i] = h[parent]
+		if locs != nil {
+			locs[h[i].idx].pos = uint32(i)
+		}
 		i = parent
 	}
-	s.heap[i] = e
-	s.arena[e.idx].pos = int32(i)
+	h[i] = e
+	if locs != nil {
+		locs[e.idx].pos = uint32(i)
+	}
 }
 
-// siftDown restores heap order from position i toward the leaves.
-func (s *Scheduler) siftDown(i int) {
-	e := s.heap[i]
-	n := len(s.heap)
+// siftDown restores 4-ary heap order in h from position i toward the
+// leaves, recording moves in locs like siftUp.
+func siftDown(h []heapEntry, i int, locs []loc) {
+	n := len(h)
+	if i >= n {
+		return
+	}
+	e := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		least := first
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if entryLess(s.heap[c], s.heap[min]) {
-				min = c
+			if entryLess(h[c], h[least]) {
+				least = c
 			}
 		}
-		if !entryLess(s.heap[min], e) {
+		if !entryLess(h[least], e) {
 			break
 		}
-		s.heap[i] = s.heap[min]
-		s.arena[s.heap[i].idx].pos = int32(i)
-		i = min
+		h[i] = h[least]
+		if locs != nil {
+			locs[h[i].idx].pos = uint32(i)
+		}
+		i = least
 	}
-	s.heap[i] = e
-	s.arena[e.idx].pos = int32(i)
+	h[i] = e
+	if locs != nil {
+		locs[e.idx].pos = uint32(i)
+	}
 }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in the
@@ -263,14 +595,7 @@ func (s *Scheduler) At(at time.Duration, fn Handler) Timer {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: Scheduler.At: scheduling at %v before now %v", at, s.now))
 	}
-	idx := s.alloc()
-	ev := &s.arena[idx]
-	ev.at = at
-	ev.seq = s.seq
-	ev.fn = fn
-	s.seq++
-	s.heapPush(idx)
-	return Timer{s: s, idx: idx, seq: ev.seq, at: at}
+	return s.schedule(at, fn, nil, 0)
 }
 
 // After schedules fn to run d after the current virtual time. A negative d
@@ -291,15 +616,7 @@ func (s *Scheduler) AtArg(at time.Duration, fn ArgHandler, arg uint64) Timer {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: Scheduler.AtArg: scheduling at %v before now %v", at, s.now))
 	}
-	idx := s.alloc()
-	ev := &s.arena[idx]
-	ev.at = at
-	ev.seq = s.seq
-	ev.afn = fn
-	ev.arg = arg
-	s.seq++
-	s.heapPush(idx)
-	return Timer{s: s, idx: idx, seq: ev.seq, at: at}
+	return s.schedule(at, nil, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run d after the current virtual time.
@@ -315,14 +632,30 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // event fired. The slot is recycled before the handler runs, so a handler
 // that schedules may reuse it; the Timer seq check keeps old handles inert.
 func (s *Scheduler) step() bool {
-	if len(s.heap) == 0 {
+	var (
+		at  time.Duration
+		fn  Handler
+		afn ArgHandler
+		arg uint64
+	)
+	switch {
+	case s.laneFront() && (len(s.heap) == 0 || entryLess(s.laneHeap[0], s.heap[0])):
+		at = s.laneHeap[0].at
+		var h Handle
+		if arg, h = s.lanePop(); h != timerLane {
+			afn = s.handlers[h] // posted: the ring entry was the whole event
+			break
+		}
+		fn, afn, arg = s.take(int32(arg))
+	case len(s.heap) > 0:
+		at = s.heap[0].at
+		idx := s.heap[0].idx
+		s.heapRemove(0)
+		fn, afn, arg = s.take(idx)
+	default:
 		return false
 	}
-	idx := s.heap[0].idx
-	s.heapRemove(0)
-	ev := &s.arena[idx]
-	at, fn, afn, arg := ev.at, ev.fn, ev.afn, ev.arg
-	s.release(idx)
+	s.pending--
 	s.now = at
 	s.dispatched++
 	if afn != nil {
@@ -374,11 +707,14 @@ func (s *Scheduler) RunUntilIdle(maxEvents uint64) error {
 	}
 }
 
-// peek returns the timestamp of the earliest pending event. Cancellation is
-// eager, so the root is always live.
+// peek returns the timestamp of the earliest pending event.
 func (s *Scheduler) peek() (time.Duration, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
+	lanes := s.laneFront()
+	switch {
+	case lanes && (len(s.heap) == 0 || s.laneHeap[0].at < s.heap[0].at):
+		return s.laneHeap[0].at, true
+	case len(s.heap) > 0:
+		return s.heap[0].at, true
 	}
-	return s.heap[0].at, true
+	return 0, false
 }

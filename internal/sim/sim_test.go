@@ -338,28 +338,81 @@ func TestSchedulerCancelIsEager(t *testing.T) {
 }
 
 // TestSchedulerSteadyStateAllocFree asserts the schedule→dispatch hot path
-// performs no heap allocation once the arena is warm — the regression guard
-// behind the kernel's pooled-arena design (CI runs it explicitly).
+// performs no heap allocation once the arena, lane rings and heaps are warm
+// — the regression guard behind the kernel's pooled design (CI runs it
+// explicitly). The steady state mixes two recurring delays, so both ride
+// lanes, one-off delays for the fallback heap, and cancels of lane heads,
+// middles and tails that dispatch never reaches: tombstones must not grow
+// the rings.
 func TestSchedulerSteadyStateAllocFree(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	// Warm the arena, free list, and heap slice past the working set.
-	for i := 0; i < 1024; i++ {
-		s.After(time.Microsecond, fn)
-	}
-	if err := s.RunUntilIdle(0); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 512; i++ {
-			s.After(time.Microsecond, fn)
+	timers := make([]Timer, 512)
+	cycle := func(round int) {
+		for i := range timers {
+			d := time.Microsecond
+			if i%2 == 1 {
+				d = 3 * time.Microsecond
+			}
+			if i%64 == 63 {
+				// Never repeats, so never earns a lane.
+				d = time.Duration(round*len(timers)+i) * time.Nanosecond
+			}
+			timers[i] = s.After(d, fn)
+			if i%3 == 2 {
+				timers[i-1].Cancel()
+			}
 		}
+		timers[0].Cancel()
+		timers[len(timers)-1].Cancel()
 		if err := s.RunUntilIdle(0); err != nil {
 			t.Error(err)
 		}
+	}
+	// Warm the arena, free list, lane rings and heap slices past the
+	// working set.
+	for round := 0; round < 4; round++ {
+		cycle(round)
+	}
+	if c := s.Counts(); c.LanePushes == 0 || c.HeapPushes == 0 || c.TombstonesSkipped == 0 {
+		t.Fatalf("warm-up did not reach lanes, heap and tombstones: %+v", c)
+	}
+	round := 4
+	allocs := testing.AllocsPerRun(100, func() {
+		cycle(round)
+		round++
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state schedule→dispatch cycle allocated %.1f times, want 0", allocs)
+		t.Fatalf("steady-state schedule→cancel→dispatch cycle allocated %.1f times, want 0", allocs)
+	}
+
+	// With nothing dispatched, cancels behind a live lane head must not
+	// grow the ring: tombstones are compacted away.
+	s2 := NewScheduler()
+	s2.After(7*time.Microsecond, fn)
+	prev := s2.After(7*time.Microsecond, fn)
+	churn := func() {
+		for i := 0; i < 512; i++ {
+			x := s2.After(7*time.Microsecond, fn)
+			y := s2.After(7*time.Microsecond, fn)
+			x.Cancel()
+			prev.Cancel()
+			prev = y
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Fatalf("schedule→cancel without dispatch allocated %.1f times, want 0", allocs)
+	}
+	if s2.Len() != 2 {
+		t.Fatalf("Len() = %d after churn, want 2", s2.Len())
+	}
+	// AllocsPerRun rounds amortized ring doublings down to zero, so bound
+	// the rings directly: two live events need no more than 16 slots.
+	for l, ln := range s2.lanes {
+		if len(ln.ring) > 16 {
+			t.Fatalf("lane %d ring grew to %d slots for 2 live events", l, len(ln.ring))
+		}
 	}
 }
 

@@ -173,7 +173,7 @@ var _ network.Receiver = (*node)(nil)
 // simulations where the data is taken to be processed instantaneously") is
 // applied by the network's batched deferred dispatch (DeferProcessing in
 // NewSystem), which also re-checks liveness before calling here.
-func (n *node) HandlePacket(p packet.Packet) {
+func (n *node) HandlePacket(p *packet.Packet) {
 	it := n.sys.ledger.Index(p.Meta)
 	switch p.Kind {
 	case packet.ADV:
@@ -191,7 +191,7 @@ func (n *node) HandlePacket(p packet.Packet) {
 
 // onADV requests advertised data the node needs and is not already waiting
 // for.
-func (n *node) onADV(p packet.Packet, it int) {
+func (n *node) onADV(p *packet.Packet, it int) {
 	d := p.Meta
 	if n.hasItem(it) || !n.sys.interest(n.id, d) {
 		return
@@ -219,7 +219,7 @@ func (n *node) onADV(p packet.Packet, it int) {
 }
 
 // onREQ serves data the node holds.
-func (n *node) onREQ(p packet.Packet, it int) {
+func (n *node) onREQ(p *packet.Packet, it int) {
 	d := p.Meta
 	if !n.hasItem(it) {
 		n.sys.nw.Counters().Drops++
@@ -237,7 +237,7 @@ func (n *node) onREQ(p packet.Packet, it int) {
 }
 
 // onDATA stores and re-advertises newly received data.
-func (n *node) onDATA(p packet.Packet, it int) {
+func (n *node) onDATA(p *packet.Packet, it int) {
 	d := p.Meta
 	if it >= 0 && it < len(n.pending) {
 		n.pending[it].Cancel()
