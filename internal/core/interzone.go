@@ -80,7 +80,7 @@ func (s *System) Query(requester packet.NodeID, d packet.DataID) error {
 				a = s.newAcq(requester, d, it, d.Origin)
 				n.setWant(d, it, a)
 			}
-			if s.acqs[a].armed[datTimer] {
+			if s.acqs[a].timers[datTimer].Active() {
 				return nil // a request is already in flight
 			}
 			n.sendREQ(d, it, a, d.Origin, hops == 1)

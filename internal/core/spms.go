@@ -136,10 +136,6 @@ type System struct {
 	// resolves. An ADV's ~40 receivers are zone neighbors with nearby ids,
 	// so their cells share cache lines.
 	rows [][]cell
-	// memoKey/memoIt cache the last registered DataID's index: a delivery
-	// batch hands the same packet to every receiver in turn.
-	memoKey uint64
-	memoIt  int
 
 	// acqs pools the acquisitions the cells index, recycled through
 	// acqFree. τADV and τDAT are armed with AtArg through the two handlers
@@ -190,7 +186,7 @@ func NewSystem(nw *network.Network, ledger *dissem.Ledger, interest dissem.Inter
 	if cfg.BorderFanout == 0 {
 		cfg.BorderFanout = DefaultBorderFanout
 	}
-	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg, tables: tables, memoIt: -1}
+	s := &System{nw: nw, ledger: ledger, interest: interest, cfg: cfg, tables: tables}
 	s.tauADVFn = s.onTauADV
 	s.tauDATFn = s.onTauDAT
 	s.deriveTimeouts()
@@ -288,10 +284,6 @@ func (s *System) Originate(src packet.NodeID, d packet.DataID) error {
 // item's row of cells is allocated the first time it resolves, which is at
 // its origination.
 func (s *System) item(d packet.DataID) int {
-	k := d.Key()
-	if k == s.memoKey && s.memoIt >= 0 {
-		return s.memoIt
-	}
 	it := s.ledger.Index(d)
 	if it < 0 {
 		return -1
@@ -299,7 +291,6 @@ func (s *System) item(d packet.DataID) int {
 	for len(s.rows) <= it {
 		s.rows = append(s.rows, make([]cell, len(s.nodes)))
 	}
-	s.memoKey, s.memoIt = k, it
 	return it
 }
 
@@ -326,8 +317,6 @@ func (s *System) Prone(id packet.NodeID, d packet.DataID) (prone, scone packet.N
 
 // acquisition is a destination's per-data-item negotiation state (§3.4),
 // plus the node and item it belongs to, which its timer handlers need.
-// Everything an ADV reads fits the first 64 bytes; the timer handles
-// follow.
 type acquisition struct {
 	prone      packet.NodeID // primary originator node
 	scone      packet.NodeID // secondary originator node
@@ -335,10 +324,6 @@ type acquisition struct {
 	attempts   int32 // REQ transmissions so far
 	lastDirect bool  // last REQ was a direct (single-hop) transmission
 	abandoned  bool  // attempt budget exhausted; a fresh ADV restarts
-	// armed[k] mirrors timers[k].Active() — set on arm, cleared on cancel
-	// and as the handler starts — so the ADV path tests it without a read
-	// of the scheduler's event arena.
-	armed [2]bool
 
 	node packet.NodeID
 	it   int
@@ -353,19 +338,11 @@ const (
 	datTimer        // τDAT
 )
 
-// arm replaces timer k's pending event, if any, with ev.
-func (a *acquisition) arm(k int, ev sim.Timer) {
-	a.stop(k)
-	a.timers[k] = ev
-	a.armed[k] = true
-}
-
-// stop cancels timer k's pending event, if any.
-func (a *acquisition) stop(k int) {
-	if a.armed[k] {
-		a.timers[k].Cancel()
-		a.armed[k] = false
-	}
+// arm replaces acquisition a's timer k, canceling its pending event if
+// any, with a fresh one running fn(a) after d.
+func (s *System) arm(a int32, k int, d time.Duration, fn sim.ArgHandler) {
+	s.acqs[a].timers[k].Cancel()
+	s.acqs[a].timers[k] = s.nw.Scheduler().AfterArg(d, fn, uint64(a))
 }
 
 // newAcq takes a pooled acquisition for node id's pull of d, with PRONE and
@@ -387,7 +364,6 @@ func (s *System) newAcq(id packet.NodeID, d packet.DataID, it int, provider pack
 // advertised in time, so request from the PRONE through the shortest path.
 func (s *System) onTauADV(arg uint64) {
 	acq := &s.acqs[arg]
-	acq.armed[advTimer] = false
 	n := &s.nodes[acq.node]
 	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
 		return
@@ -400,7 +376,6 @@ func (s *System) onTauADV(arg uint64) {
 // not arrive, so the request fails over.
 func (s *System) onTauDAT(arg uint64) {
 	acq := &s.acqs[arg]
-	acq.armed[datTimer] = false
 	n := &s.nodes[acq.node]
 	if !s.nw.Alive(n.id) || n.hasItem(acq.it) {
 		return
@@ -564,7 +539,7 @@ func (n *node) onADV(p *packet.Packet, it int) {
 			promoted = true
 		}
 	}
-	if acq.armed[datTimer] {
+	if acq.timers[datTimer].Active() {
 		// A request is already outstanding; the PRONE/SCONE update above is
 		// all this ADV changes.
 		return
@@ -573,21 +548,21 @@ func (n *node) onADV(p *packet.Packet, it int) {
 	if !ok {
 		// PRONE unreachable by routing (e.g. source in another zone whose
 		// ADV still arrived radio-wise). Wait for a closer advertiser.
-		if promoted || !acq.armed[advTimer] {
+		if promoted || !acq.timers[advTimer].Active() {
 			n.armTauADV(a)
 		}
 		return
 	}
 	if hops == 1 {
 		// Next-hop neighbor: request immediately, directly.
-		acq.stop(advTimer)
+		acq.timers[advTimer].Cancel()
 		n.sendREQ(d, it, a, acq.prone, true)
 		return
 	}
 	// Multi-hop would be needed: wait τADV for a relay's advertisement.
 	// Re-arming on a PRONE promotion matches §3.5 ("C ... resets its timer
 	// τADV"); unrelated repeat ADVs must not postpone the timer forever.
-	if promoted || !acq.armed[advTimer] {
+	if promoted || !acq.timers[advTimer].Active() {
 		n.armTauADV(a)
 	}
 }
@@ -596,7 +571,7 @@ func (n *node) onADV(p *packet.Packet, it int) {
 // on each ADV matches §3.5: "C on receiving the ADV packet from r1 resets
 // its timer τADV".
 func (n *node) armTauADV(a int32) {
-	n.sys.acqs[a].arm(advTimer, n.sys.nw.Scheduler().AfterArg(n.sys.tauADV(), n.sys.tauADVFn, uint64(a)))
+	n.sys.arm(a, advTimer, n.sys.tauADV(), n.sys.tauADVFn)
 }
 
 // sendREQ transmits a request to target, directly (single transmission at
@@ -606,8 +581,8 @@ func (n *node) sendREQ(d packet.DataID, it int, a int32, target packet.NodeID, d
 	acq := &n.sys.acqs[a]
 	if int(acq.attempts) >= n.sys.cfg.MaxAttempts {
 		acq.abandoned = true
-		acq.stop(advTimer)
-		acq.stop(datTimer)
+		acq.timers[advTimer].Cancel()
+		acq.timers[datTimer].Cancel()
 		return
 	}
 	acq.attempts++
@@ -702,7 +677,7 @@ func (n *node) sendREQViaRouteOnce(d packet.DataID, target packet.NodeID) bool {
 // armTauDAT starts acquisition a's data-wait timer for a request that
 // travels the given number of hops.
 func (n *node) armTauDAT(a int32, hops int) {
-	n.sys.acqs[a].arm(datTimer, n.sys.nw.Scheduler().AfterArg(n.sys.tauDAT(hops), n.sys.tauDATFn, uint64(a)))
+	n.sys.arm(a, datTimer, n.sys.tauDAT(hops), n.sys.tauDATFn)
 }
 
 // failover implements §3.4's recovery ladder after a τDAT expiry:
@@ -835,8 +810,8 @@ func (n *node) onDATA(p *packet.Packet, it int) {
 	}
 	// Whatever role this node played, its own acquisition is now satisfied.
 	if a := n.wantFor(d, it); a >= 0 {
-		n.sys.acqs[a].stop(advTimer)
-		n.sys.acqs[a].stop(datTimer)
+		n.sys.acqs[a].timers[advTimer].Cancel()
+		n.sys.acqs[a].timers[datTimer].Cancel()
 		n.clearWant(d, it)
 	}
 	if q := n.queries[d.Key()]; q != nil {
