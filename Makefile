@@ -1,11 +1,10 @@
 # Developer entry points. The repository is plain `go build`/`go test`;
-# these targets just bundle the flags the CI pipeline and the perf
-# trajectory (BENCH_<date>.json snapshots) standardize on.
+# these targets just bundle the flags the CI pipeline and the benchmark of
+# record (perfbench, BENCHMARK.json) standardize on.
 
 GO ?= go
-DATE := $(shell date +%F)
 
-.PHONY: all build test race lint cover fuzz-smoke golden-update bench bench-smoke figures clean
+.PHONY: all build test race lint cover fuzz-smoke golden-update bench figures clean
 
 all: build
 
@@ -42,23 +41,17 @@ fuzz-smoke:
 golden-update:
 	$(GO) test -run TestGolden -update -count=1 .
 
-# bench runs the full benchmark suite once (-benchtime=1x -benchmem) and
-# writes machine-readable results to BENCH_<date>.json. Commit a snapshot
-# alongside performance-affecting PRs; see DESIGN.md §7.
+# bench runs the benchmark of record (BENCHMARK.json, perfbench/README.md)
+# on each of its workloads: repeated runs, every output checked, one JSON
+# line of medians per workload. For one workload or a traced per-layer
+# split, call perfbench/run.sh directly.
 bench:
-	$(GO) run ./cmd/benchjson -bench . -sims -out BENCH_$(DATE).json
-
-# bench-smoke is the CI variant: just the topology and scheduler
-# micro-benchmarks plus a timed quick-scale campaign, written to bench.json
-# for artifact upload.
-bench-smoke:
-	$(GO) run ./cmd/benchjson \
-		-bench 'BenchmarkReachedBy|BenchmarkContenders|BenchmarkZoneNeighborsRebuild|BenchmarkScheduler' \
-		-campaign examples/campaigns/fig8.json \
-		-out bench.json
+	for w in spms-400 spms-1024-dbf spms-169-faults-mobility figures-quick; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
 
 figures:
 	$(GO) run ./cmd/figures -quick
 
 clean:
-	rm -f bench.json coverage.out
+	rm -rf coverage.out .bench_build

@@ -1,26 +1,19 @@
-// bench_test.go regenerates every table and figure of the paper under
-// `go test -bench=.`. One benchmark per table/figure, plus ablation benches
-// for the design choices DESIGN.md calls out and micro-benchmarks for the
-// hot substrates.
-//
-// Figure benches run the Quick quality (2 packets/node) so a full -bench=.
-// pass completes in minutes; `go run ./cmd/figures` regenerates the
-// paper-scale versions. Each bench reports the figure's headline numbers as
-// custom metrics (µJ/packet, ms of delay) so the benchmark log doubles as a
-// results table.
+// bench_test.go holds the ablation benchmarks for the design choices
+// DESIGN.md calls out, plus the §6 inter-zone query. Each ablation reports
+// its headline numbers (µJ/packet, ms of delay, delivery rate) as custom
+// metrics, so the benchmark log doubles as a results table. The figures
+// themselves are timed by perfbench's figures-quick workload, and the
+// per-layer micro-benchmarks live next to their layer (internal/sim,
+// internal/topo, internal/routing).
 package repro
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dissem"
 	"repro/internal/experiment"
-	"repro/internal/geom"
 	"repro/internal/network"
 	"repro/internal/packet"
 	"repro/internal/radio"
@@ -28,94 +21,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
-
-// reportLastRow attaches the final sweep point's series values as custom
-// benchmark metrics.
-func reportLastRow(b *testing.B, t experiment.Table, unit string) {
-	b.Helper()
-	if len(t.Rows) == 0 {
-		b.Fatal("empty table")
-	}
-	last := t.Rows[len(t.Rows)-1]
-	for i, col := range t.Columns {
-		b.ReportMetric(last.Cells[i], col+"_"+unit)
-	}
-}
-
-// BenchmarkFig3AnalyticDelayRatio regenerates Figure 3 (analytic SPIN/SPMS
-// delay ratio vs radius) and checks the paper's printed 2.7865 spot value.
-func BenchmarkFig3AnalyticDelayRatio(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		t := experiment.Figure3()
-		if len(t.Rows) == 0 {
-			b.Fatal("empty figure")
-		}
-		ratio = analysis.PaperParams().DelayRatio(45, 5)
-	}
-	if ratio < 2.786 || ratio > 2.787 {
-		b.Fatalf("spot value %v, want 2.7865", ratio)
-	}
-	b.ReportMetric(ratio, "spot_ratio")
-}
-
-// BenchmarkFig5AnalyticEnergyRatio regenerates Figure 5 (analytic energy
-// ratio on the k-relay chain).
-func BenchmarkFig5AnalyticEnergyRatio(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		t := experiment.Figure5()
-		last = t.Rows[len(t.Rows)-1].Cells[0]
-	}
-	b.ReportMetric(last, "ratio_at_k30")
-}
-
-// benchFigure regenerates one figure per iteration through the parallel
-// sweep engine (NewRunner defaults to a worker per core).
-func benchFigure(b *testing.B, run func(*experiment.Runner) (experiment.Table, error), unit string) {
-	b.Helper()
-	var table experiment.Table
-	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Quick())
-		t, err := run(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		table = t
-	}
-	reportLastRow(b, table, unit)
-}
-
-// BenchmarkSweepWorkers measures the sweep engine's scaling on the Figure 8
-// grid: the same scenario batch at pool sizes 1, 2, and one per core. The
-// tables are byte-identical across pool sizes (asserted against serial), so
-// the only difference is wall clock.
-func BenchmarkSweepWorkers(b *testing.B) {
-	serial, err := experiment.NewRunnerWorkers(experiment.Quick(), 1).Figure8()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pools := []int{1, 2, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, w := range pools {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := experiment.NewRunnerWorkers(experiment.Quick(), w)
-				t, err := r.Figure8()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if t.Format() != serial.Format() {
-					b.Fatal("parallel table diverged from serial")
-				}
-			}
-		})
-	}
-}
 
 // runSweep executes scenarios through the same parallel sweep engine the
 // figure runners use and returns results in point order.
@@ -126,65 +31,6 @@ func runSweep(b *testing.B, points ...experiment.Scenario) []experiment.Result {
 		b.Fatal(err)
 	}
 	return res
-}
-
-// BenchmarkFig6EnergyVsNodes regenerates Figure 6 (energy vs node count).
-func BenchmarkFig6EnergyVsNodes(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure6, "uJ")
-}
-
-// BenchmarkFig7EnergyVsRadius regenerates Figure 7 (energy vs radius).
-func BenchmarkFig7EnergyVsRadius(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure7, "uJ")
-}
-
-// BenchmarkFig8DelayVsNodes regenerates Figure 8 (delay vs node count).
-func BenchmarkFig8DelayVsNodes(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure8, "ms")
-}
-
-// BenchmarkFig9DelayVsRadius regenerates Figure 9 (delay vs radius).
-func BenchmarkFig9DelayVsRadius(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure9, "ms")
-}
-
-// BenchmarkFig10FailureDelayVsNodes regenerates Figure 10 (delay vs node
-// count under transient failures; SPMS/F-SPMS/SPIN/F-SPIN).
-func BenchmarkFig10FailureDelayVsNodes(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure10, "ms")
-}
-
-// BenchmarkFig11FailureDelayVsRadius regenerates Figure 11 (delay vs radius
-// under transient failures).
-func BenchmarkFig11FailureDelayVsRadius(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure11, "ms")
-}
-
-// BenchmarkFig12MobilityEnergy regenerates Figure 12 (energy vs radius with
-// mobile nodes; SPMS pays DBF re-convergence).
-func BenchmarkFig12MobilityEnergy(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure12, "uJ")
-}
-
-// BenchmarkFig13ClusterEnergy regenerates Figure 13 (energy vs radius for
-// cluster-based hierarchical communication, with and without failures).
-func BenchmarkFig13ClusterEnergy(b *testing.B) {
-	benchFigure(b, (*experiment.Runner).Figure13, "uJ")
-}
-
-// BenchmarkMobilityThreshold recomputes the §5.1.3 break-even packet count.
-func BenchmarkMobilityThreshold(b *testing.B) {
-	var breakEven, dbf float64
-	for i := 0; i < b.N; i++ {
-		r := experiment.NewRunner(experiment.Quick())
-		be, d, err := r.MobilityThreshold()
-		if err != nil {
-			b.Fatal(err)
-		}
-		breakEven, dbf = be, d
-	}
-	b.ReportMetric(breakEven, "breakeven_pkts")
-	b.ReportMetric(dbf, "dbf_uJ_per_event")
 }
 
 // ablationScenario is the shared configuration for the design-choice
@@ -343,178 +189,6 @@ func BenchmarkInterZoneQuery(b *testing.B) {
 		}
 		if !sys.Has(sink, d) {
 			b.Fatal("query failed")
-		}
-	}
-}
-
-// BenchmarkDBFCompute measures one full Distributed Bellman-Ford
-// convergence on the paper's 169-node, 20 m-zone field.
-func BenchmarkDBFCompute(b *testing.B) {
-	m, err := radio.ScaledMICA2(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := topo.NewGridField(169, 5, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := routing.BuildGraph(f)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl := routing.Compute(g, 2)
-		if tbl.Rounds() == 0 {
-			b.Fatal("no convergence")
-		}
-	}
-}
-
-// BenchmarkSchedulerThroughput measures raw event dispatch.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	s := sim.NewScheduler()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(time.Microsecond, func() {})
-		if i%1024 == 1023 {
-			if err := s.RunUntilIdle(0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := s.RunUntilIdle(0); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchField builds the benchmark topology: an n-node grid at the paper's
-// 5 m spacing with a 20 m zone radius — 169 is the paper's standard field,
-// 1024 the stress-campaign grid.
-func benchField(b *testing.B, n int) *topo.Field {
-	b.Helper()
-	m, err := radio.ScaledMICA2(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f, err := topo.NewGridField(n, 5, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return f
-}
-
-// benchSink keeps query results observable so the compiler cannot elide the
-// benchmark body.
-var benchSink int
-
-// assertQueryAllocFree fails the benchmark if the steady-state query path
-// allocates: the spatial-index contract is 0 allocs/op once caches are warm.
-func assertQueryAllocFree(b *testing.B, query func()) {
-	b.Helper()
-	query() // warm every cache the query touches
-	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
-		b.Fatalf("steady-state query allocates %v per run, want 0", allocs)
-	}
-}
-
-// BenchmarkReachedBy measures the broadcast recipient-list query across all
-// power levels on a warm cache: O(1) slice handout, asserted 0 allocs/op.
-func BenchmarkReachedBy(b *testing.B) {
-	for _, n := range []int{169, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			f := benchField(b, n)
-			center := packet.NodeID(f.N() / 2)
-			levels := f.Model().MinPower()
-			query := func() {
-				for l := radio.MaxPower; l <= levels; l++ {
-					benchSink += len(f.ReachedBy(center, l))
-				}
-			}
-			assertQueryAllocFree(b, query)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				query()
-			}
-		})
-	}
-}
-
-// BenchmarkContenders measures the MAC contention-count lookup across all
-// power levels on a warm cache: a cached length, asserted 0 allocs/op.
-func BenchmarkContenders(b *testing.B) {
-	for _, n := range []int{169, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			f := benchField(b, n)
-			center := packet.NodeID(f.N() / 2)
-			levels := f.Model().MinPower()
-			query := func() {
-				for l := radio.MaxPower; l <= levels; l++ {
-					benchSink += f.Contenders(center, l)
-				}
-			}
-			assertQueryAllocFree(b, query)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				query()
-			}
-		})
-	}
-}
-
-// BenchmarkZoneNeighborsRebuild measures the topology cache rebuild after a
-// mobility event, comparing incremental invalidation (the production path:
-// only the neighborhoods a mover leaves and enters are stamped dirty)
-// against forcing the pre-index full-discard behavior (InvalidateAll).
-// Each iteration performs one mobility event and then a full-field query
-// wave, so deferred lazy rebuilds are paid inside the measurement. Two
-// event shapes: a single Move (incrementality's best case — one zone's
-// worth of rebuilds vs the whole field) and the paper's 5% relocation wave
-// (whose scattered movers dirty most of a dense field either way; the win
-// there is the O(neighbors) grid rebuild itself, not the stamping).
-func BenchmarkZoneNeighborsRebuild(b *testing.B) {
-	queryAll := func(f *topo.Field) {
-		for i := 0; i < f.N(); i++ {
-			benchSink += len(f.ZoneNeighbors(packet.NodeID(i)))
-		}
-	}
-	for _, n := range []int{169, 1024} {
-		events := []struct {
-			name string
-			do   func(f *topo.Field, rng *sim.RNG)
-		}{
-			{"move1", func(f *topo.Field, rng *sim.RNG) {
-				id := packet.NodeID(rng.Intn(f.N()))
-				f.Move(id, geom.Point{
-					X: f.Bounds().Width() * rng.Float64(),
-					Y: f.Bounds().Height() * rng.Float64(),
-				})
-			}},
-			{"relocate5pct", func(f *topo.Field, rng *sim.RNG) {
-				f.RelocateFraction(0.05, rng)
-			}},
-		}
-		for _, ev := range events {
-			b.Run(fmt.Sprintf("n=%d/%s/incremental", n, ev.name), func(b *testing.B) {
-				f := benchField(b, n)
-				rng := sim.NewRNG(1)
-				queryAll(f) // start from a fully warm cache
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev.do(f, rng)
-					queryAll(f)
-				}
-			})
-			b.Run(fmt.Sprintf("n=%d/%s/full", n, ev.name), func(b *testing.B) {
-				f := benchField(b, n)
-				rng := sim.NewRNG(1)
-				queryAll(f)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev.do(f, rng)
-					f.InvalidateAll()
-					queryAll(f)
-				}
-			})
 		}
 	}
 }

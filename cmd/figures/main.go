@@ -19,17 +19,23 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiment"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
+
+// reportIDs lists every block -only can select, in report order.
+var reportIDs = []string{"table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9",
+	"fig10", "fig11", "fig12", "fig13", "mobility-threshold"}
 
 // emitter is the single -csv-aware output path: every block the command
 // prints — figure tables, Table 1, the mobility threshold — goes through
@@ -69,15 +75,41 @@ func (e emitter) kv(id, title, text string, rows [][2]string) error {
 	return nil
 }
 
-func run() int {
-	quick := flag.Bool("quick", false, "reduced workload (2 pkts/node, smaller sweeps)")
-	quality := flag.String("quality", "", "sweep scale: quick | standard | full (overrides -quick)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	only := flag.String("only", "", "comma-separated subset: table1,fig3,fig5,fig6,...,fig13,mobility-threshold")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
-	replications := flag.Int("replications", 1, "seed-derived trials per sweep point; above 1 adds ± (95% CI) columns")
-	flag.Parse()
+func run(args []string) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "reduced workload (2 pkts/node, smaller sweeps)")
+	quality := fs.String("quality", "", "sweep scale: quick | standard | full (overrides -quick)")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	only := fs.String("only", "", "comma-separated subset of "+strings.Join(reportIDs, ","))
+	seed := fs.Int64("seed", 1, "simulation seed")
+	parallel := fs.Int("parallel", 0, "sweep worker pool size (0 = all cores, 1 = serial)")
+	replications := fs.Int("replications", 1, "seed-derived trials per sweep point; above 1 adds ± (95% CI) columns")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Flag parsing stops at the first positional argument; everything after
+	// it would otherwise be dropped without a word.
+	if fs.NArg() > 0 {
+		return usageError(fs, fmt.Sprintf("unexpected argument %q", fs.Arg(0)))
+	}
+
+	want := map[string]bool{}
+	if *only != "" {
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.TrimSpace(id)
+			if !slices.Contains(reportIDs, id) {
+				return usageError(fs, fmt.Sprintf("unknown -only id %q (want one of %s)", id, strings.Join(reportIDs, ",")))
+			}
+			want[id] = true
+		}
+	}
+	selected := func(id string) bool { return len(want) == 0 || want[id] }
+	if *replications < 0 {
+		return usageError(fs, fmt.Sprintf("negative -replications %d", *replications))
+	}
 
 	q := experiment.Full()
 	if *quick {
@@ -92,19 +124,11 @@ func run() int {
 	case "full":
 		q = experiment.Full()
 	default:
-		fmt.Fprintf(os.Stderr, "figures: unknown quality %q\n", *quality)
-		return 2
+		return usageError(fs, fmt.Sprintf("unknown quality %q", *quality))
 	}
 	q.Seed = *seed
 	q.Replications = *replications
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
 	emit := emitter{csv: *csv}
 
 	if selected("table1") {
@@ -168,4 +192,12 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// usageError reports a command-line mistake with the flag summary and
+// returns the usage exit status.
+func usageError(fs *flag.FlagSet, msg string) int {
+	fmt.Fprintf(os.Stderr, "figures: %s\n", msg)
+	fs.Usage()
+	return 2
 }

@@ -35,6 +35,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,50 +48,63 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("spmsim", flag.ContinueOnError)
 	var (
-		scenarioPath = flag.String("scenario", "", "JSON scenario file to run (explicit flags override its fields)")
-		protoName    = flag.String("protocol", "spms", "protocol: spms | spin | flood")
-		wlName       = flag.String("workload", "all-to-all", "workload: all-to-all | cluster")
-		nodes        = flag.Int("nodes", 169, "number of sensor nodes")
-		radius       = flag.Float64("radius", 20, "maximum transmission radius in meters (zone radius)")
-		spacing      = flag.Float64("spacing", 5, "grid spacing in meters")
-		placement    = flag.String("placement", "grid", "node placement model: grid | uniform | chain | clustered")
-		placeK       = flag.Int("placement-clusters", 0, "clustered placement: number of Gaussian blobs (0 = default 4)")
-		placeSpread  = flag.Float64("placement-spread", 0, "clustered placement: per-axis blob deviation in meters (0 = 2×spacing)")
-		packets      = flag.Int("packets", 10, "data items generated per node")
-		sources      = flag.Int("sources", 0, "nodes that originate data: the first N ids (0 = every node)")
-		clusterProb  = flag.Float64("cluster-interest", 0.05, "clustered workload: bystander interest probability in [0,1]")
-		failures     = flag.Bool("failures", false, "inject node failures (see -failure-model; Table 1 timing by default)")
-		failureModel = flag.String("failure-model", "transient", "failure model: transient | crash | burst")
-		burstRadius  = flag.Float64("burst-radius", 0, "burst failures: epicenter radius in meters (0 = zone radius)")
-		mobility     = flag.Bool("mobility", false, "move nodes periodically (see -mobility-model, -mobility-period, -mobility-fraction)")
-		mobModel     = flag.String("mobility-model", "relocate", "mobility model: relocate | waypoint")
-		mobPeriod    = flag.Duration("mobility-period", 100*time.Millisecond, "interval between mobility events")
-		mobFraction  = flag.Float64("mobility-fraction", 0.05, "fraction of nodes moving, in [0,1]")
-		wpSpeedMin   = flag.Float64("waypoint-speed-min", 0, "waypoint mobility: minimum leg speed in m/s (0 = default 5)")
-		wpSpeedMax   = flag.Float64("waypoint-speed-max", 0, "waypoint mobility: maximum leg speed in m/s (0 = default 15)")
-		wpPauseMin   = flag.Duration("waypoint-pause-min", 0, "waypoint mobility: minimum arrival pause")
-		wpPauseMax   = flag.Duration("waypoint-pause-max", 0, "waypoint mobility: maximum arrival pause (0 = default 100ms)")
-		carrier      = flag.Bool("carrier-sense", false, "serialize transmissions on a shared channel (MAC ablation)")
-		chargeDBF    = flag.Bool("charge-initial-dbf", false, "charge the initial DBF convergence energy, not just mobility re-runs")
-		seed         = flag.Int64("seed", 1, "simulation seed")
-		drain        = flag.Duration("drain", 3*time.Second, "extra simulated time after the last origination")
-		altRoutes    = flag.Int("routes", 2, "SPMS routing entries per destination")
-		replications = flag.Int("replications", 1, "independent seed-derived trials; above 1 prints mean ± 95% CI per metric")
-		parallel     = flag.Int("parallel", 0, "replicate worker pool size (0 = all cores, 1 = serial)")
-		simWorkers   = flag.Int("sim-workers", 0, "goroutines for the data-parallel kernels inside one simulation (0/1 = serial; output is identical at any value)")
-		tracePath    = flag.String("trace", "", "write a structured packet-event trace (JSONL, one line per tx/deliver/drop) to this file")
-		timelinePath = flag.String("timeline", "", "write a sim-time metrics timeline (JSONL, one sample per interval) to this file")
-		timelineIntv = flag.Duration("timeline-interval", 50*time.Millisecond, "simulated time between -timeline samples")
-		runStatsPath = flag.String("run-stats", "", `write phase timings and event-kernel stats as JSON to this file ("-" = stderr)`)
-		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		scenarioPath = fs.String("scenario", "", "JSON scenario file to run (explicit flags override its fields)")
+		protoName    = fs.String("protocol", "spms", "protocol: spms | spin | flood")
+		wlName       = fs.String("workload", "all-to-all", "workload: all-to-all | cluster")
+		nodes        = fs.Int("nodes", 169, "number of sensor nodes")
+		radius       = fs.Float64("radius", 20, "maximum transmission radius in meters (zone radius)")
+		spacing      = fs.Float64("spacing", 5, "grid spacing in meters")
+		placement    = fs.String("placement", "grid", "node placement model: grid | uniform | chain | clustered")
+		placeK       = fs.Int("placement-clusters", 0, "clustered placement: number of Gaussian blobs (0 = default 4)")
+		placeSpread  = fs.Float64("placement-spread", 0, "clustered placement: per-axis blob deviation in meters (0 = 2×spacing)")
+		packets      = fs.Int("packets", 10, "data items generated per node")
+		sources      = fs.Int("sources", 0, "nodes that originate data: the first N ids (0 = every node)")
+		clusterProb  = fs.Float64("cluster-interest", 0.05, "clustered workload: bystander interest probability in [0,1]")
+		failures     = fs.Bool("failures", false, "inject node failures (see -failure-model; Table 1 timing by default)")
+		failureModel = fs.String("failure-model", "transient", "failure model: transient | crash | burst")
+		burstRadius  = fs.Float64("burst-radius", 0, "burst failures: epicenter radius in meters (0 = zone radius)")
+		mobility     = fs.Bool("mobility", false, "move nodes periodically (see -mobility-model, -mobility-period, -mobility-fraction)")
+		mobModel     = fs.String("mobility-model", "relocate", "mobility model: relocate | waypoint")
+		mobPeriod    = fs.Duration("mobility-period", 100*time.Millisecond, "interval between mobility events")
+		mobFraction  = fs.Float64("mobility-fraction", 0.05, "fraction of nodes moving, in [0,1]")
+		wpSpeedMin   = fs.Float64("waypoint-speed-min", 0, "waypoint mobility: minimum leg speed in m/s (0 = default 5)")
+		wpSpeedMax   = fs.Float64("waypoint-speed-max", 0, "waypoint mobility: maximum leg speed in m/s (0 = default 15)")
+		wpPauseMin   = fs.Duration("waypoint-pause-min", 0, "waypoint mobility: minimum arrival pause")
+		wpPauseMax   = fs.Duration("waypoint-pause-max", 0, "waypoint mobility: maximum arrival pause (0 = default 100ms)")
+		carrier      = fs.Bool("carrier-sense", false, "serialize transmissions on a shared channel (MAC ablation)")
+		chargeDBF    = fs.Bool("charge-initial-dbf", false, "charge the initial DBF convergence energy, not just mobility re-runs")
+		seed         = fs.Int64("seed", 1, "simulation seed")
+		drain        = fs.Duration("drain", 3*time.Second, "extra simulated time after the last origination")
+		altRoutes    = fs.Int("routes", 2, "SPMS routing entries per destination")
+		replications = fs.Int("replications", 1, "independent seed-derived trials; above 1 prints mean ± 95% CI per metric")
+		parallel     = fs.Int("parallel", 0, "replicate worker pool size (0 = all cores, 1 = serial)")
+		simWorkers   = fs.Int("sim-workers", 0, "goroutines for the data-parallel kernels inside one simulation (0/1 = serial; output is identical at any value)")
+		tracePath    = fs.String("trace", "", "write a structured packet-event trace (JSONL, one line per tx/deliver/drop) to this file")
+		timelinePath = fs.String("timeline", "", "write a sim-time metrics timeline (JSONL, one sample per interval) to this file")
+		timelineIntv = fs.Duration("timeline-interval", 50*time.Millisecond, "simulated time between -timeline samples")
+		runStatsPath = fs.String("run-stats", "", `write phase timings and event-kernel stats as JSON to this file ("-" = stderr)`)
+		cpuprofile   = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memprofile   = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Flag parsing stops at the first positional argument; everything after
+	// it would otherwise be dropped without a word.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "spmsim: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -117,7 +131,7 @@ func run() int {
 	// original behavior); with it, only flags the user actually set
 	// override the file.
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	use := func(name string) bool { return !fromFile || set[name] }
 
 	if use("protocol") {

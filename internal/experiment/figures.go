@@ -1,7 +1,7 @@
 // figures.go reproduces every table and figure of the paper's evaluation.
 // Each FigureN function returns a Table whose columns match the series the
-// paper plots; cmd/figures renders them and bench_test.go regenerates them
-// under `go test -bench`.
+// paper plots; cmd/figures renders them, and testdata/golden/figures-quick.txt
+// pins the quick-scale report byte for byte.
 package experiment
 
 import (
@@ -155,8 +155,8 @@ func NewRunner(q Quality) *Runner {
 }
 
 // NewRunnerWorkers builds a memoizing runner with an explicit sweep pool
-// size; workers <= 0 means one per core. workers == 1 reproduces the serial
-// execution path (the output is byte-identical either way).
+// size; workers <= 0 means one per core. workers == 1 runs one point at a
+// time; the output is byte-identical at every pool size.
 func NewRunnerWorkers(q Quality, workers int) *Runner {
 	return &Runner{q: q, workers: workers, cache: make(map[Scenario][]Result)}
 }

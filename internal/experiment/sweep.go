@@ -122,28 +122,6 @@ func (s Sweep) Execute() ([]Result, error) {
 	}
 	results := make([]Result, len(s.Points))
 
-	if workers <= 1 {
-		for i, p := range s.Points {
-			if s.cancelled() {
-				return nil, ErrCancelled
-			}
-			if s.OnStart != nil {
-				s.OnStart(i)
-			}
-			r, err := run(p)
-			if err != nil {
-				return nil, fmt.Errorf("sweep point %d (%v): %w", i, p.Protocol, err)
-			}
-			results[i] = r
-			if s.OnPoint != nil {
-				if err := s.OnPoint(i, p, r); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return results, nil
-	}
-
 	var (
 		next   atomic.Int64 // next unclaimed point index
 		failed atomic.Bool  // stop claiming new points after any failure

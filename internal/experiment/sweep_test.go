@@ -422,3 +422,34 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestFiguresWorkerInvariant pins the sweep-pool determinism contract at the
+// scale cmd/figures -quick renders: Figure 8 (delay vs nodes) and Figure 10
+// (its failure-injected twin) must format byte-identically on a pool of one
+// worker and a pool of three.
+func TestFiguresWorkerInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweeps are slow")
+	}
+	one := NewRunnerWorkers(Quick(), 1)
+	three := NewRunnerWorkers(Quick(), 3)
+	for _, fig := range []struct {
+		name string
+		run  func(*Runner) (Table, error)
+	}{
+		{"fig8", (*Runner).Figure8},
+		{"fig10", (*Runner).Figure10},
+	} {
+		a, err := fig.run(one)
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", fig.name, err)
+		}
+		b, err := fig.run(three)
+		if err != nil {
+			t.Fatalf("%s workers=3: %v", fig.name, err)
+		}
+		if a.Format() != b.Format() {
+			t.Fatalf("%s diverged across pool sizes:\n--- workers=1\n%s\n--- workers=3\n%s", fig.name, a.Format(), b.Format())
+		}
+	}
+}

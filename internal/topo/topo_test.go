@@ -10,7 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-func mustGrid(t *testing.T, n int, spacing float64, m *radio.Model) *Field {
+func mustGrid(t testing.TB, n int, spacing float64, m *radio.Model) *Field {
 	t.Helper()
 	f, err := NewGridField(n, spacing, m)
 	if err != nil {
@@ -19,7 +19,7 @@ func mustGrid(t *testing.T, n int, spacing float64, m *radio.Model) *Field {
 	return f
 }
 
-func scaled(t *testing.T, r float64) *radio.Model {
+func scaled(t testing.TB, r float64) *radio.Model {
 	t.Helper()
 	m, err := radio.ScaledMICA2(r)
 	if err != nil {
